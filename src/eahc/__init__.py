@@ -52,7 +52,7 @@ from .graph import (
     export_dot,
     successors_sorted,
 )
-from .huffman import append, concat, huffman, merge, remove_at
+from .huffman import huffman
 
 __version__ = "0.1.0"
 
@@ -99,9 +99,5 @@ __all__ = [
     "export_dot",
     "successors_sorted",
     "huffman",
-    "append",
-    "concat",
-    "merge",
-    "remove_at",
     "__version__",
 ]

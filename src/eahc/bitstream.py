@@ -235,12 +235,15 @@ class BitReader:
                 raise TruncationError(
                     f"needed {count} bits, only {self.remaining()} remain"
                 )
-            chunk = self._data[self._pos >> 3 : (end + 7) >> 3]
+            start = self._pos >> 3
+            stop = (end + 7) >> 3
             pad = -count % 8
             if pad:
-                tail = bytearray(chunk)
-                tail[-1] &= (0xFF << pad) & 0xFF
-                chunk = bytes(tail)
+                # copy once, with the bits past `end` cleared in the last byte
+                last = self._data[stop - 1] & (0xFF << pad) & 0xFF
+                chunk = b"".join((memoryview(self._data)[start : stop - 1], bytes((last,))))
+            else:
+                chunk = self._data[start:stop]
             self._pos = end
             return BitString(chunk, count)
         return BitString.from_int(self.read_uint(count), count)

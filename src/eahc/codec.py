@@ -14,7 +14,18 @@ input position.  Five bit components are produced:
 For order 1 a context followed by itself is recorded on the diagonal of
 successor_map (symbol index == context index), mirroring the aux-vertex
 routing of the transition graph.  The decoder rebuilds the identical
-code tables from the bitmaps and counts alone; it never sees the input.
+codes from the bitmaps and counts alone; it never sees the input.
+
+Each side keeps only the map it needs.  The encoder maps a context's
+successor to its (value, length) codeword.  The decoder turns each
+context's code into a lookup table over the next L bits of the stream,
+where L is the context's longest codeword: entry v holds the (symbol,
+length) of the codeword that prefixes v.  A context whose codewords
+exceed TABLE_BITS is walked bit by bit through a (value, length) dict
+instead, and every lone-successor context of a symbol shares one
+two-entry table.  `deserialize` builds these tables once while it finds
+the stream's length and hands them to `decode` inside the payload, so a
+container's codes are rebuilt once per `decompress`.
 
 Container wire format (all integers little-endian):
 
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .adaptive_code import Alphabet
 from .bitstream import EMPTY, BitReader, BitString, BitWriter
@@ -50,6 +61,7 @@ from .huffman import code_pairs
 
 MAGIC = b"EAH1"
 VERSION = 1
+TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,8 @@ class EahPayload:
     freq_table: BitString
     stream: BitString
     freq_width: int  # bit width of each freq_table entry
+    # (header, decoder tables) attached by deserialize for decode to reuse
+    _tables: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def components(self) -> tuple[BitString, BitString, BitString, BitString, BitString]:
         return (
@@ -81,38 +95,21 @@ class EahPayload:
         return sum(len(c) for c in self.components())
 
 
-class _ContextCode:
-    """Per-context successor order, frequencies, and Huffman codewords."""
+def _successor_codes(
+    order: int, context_index: int, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int, int, int]]:
+    """Huffman codewords of one context as (symbol index, frequency, value,
+    length), in the order the code is built in.
 
-    __slots__ = ("encode_map", "decode_map", "max_code_len", "stream_bits", "solo")
-
-    def __init__(self, order: int, context_index: int, pairs: list[tuple[int, int]]):
-        # pairs: (symbol index, frequency), symbol index ascending; for
-        # order 1 the diagonal entry is the repeat successor and codes last
-        if len(pairs) == 1:
-            # sole successor: codeword "0"; the maps are never consulted
-            i, f = pairs[0]
-            self.encode_map = None
-            self.decode_map = None
-            self.max_code_len = 1
-            self.stream_bits = f
-            self.solo = i
-            return
-        self.solo = None
-        if order == 1:
-            base = [p for p in pairs if p[0] != context_index]
-            aux = [p for p in pairs if p[0] == context_index]
-            pairs = base + aux
-        self.encode_map: dict[int, tuple[int, int]] = {}
-        self.decode_map: dict[tuple[int, int], int] = {}
-        codes = code_pairs([f for _, f in pairs])
-        self.max_code_len = 0
-        self.stream_bits = 0
-        for (i, f), (value, length) in zip(pairs, codes):
-            self.encode_map[i] = (value, length)
-            self.decode_map[(value, length)] = i
-            self.max_code_len = max(self.max_code_len, length)
-            self.stream_bits += f * length
+    pairs: (symbol index, frequency), symbol index ascending; for order 1
+    the diagonal entry is the repeat successor and codes last.
+    """
+    if order == 1:
+        pairs = [p for p in pairs if p[0] != context_index] + [
+            p for p in pairs if p[0] == context_index
+        ]
+    codes = code_pairs([f for _, f in pairs])
+    return [(i, f, value, length) for (i, f), (value, length) in zip(pairs, codes)]
 
 
 def _index_table(alphabet: Alphabet) -> list[int]:
@@ -144,13 +141,25 @@ def _successor_counts(
     return counts
 
 
-def _build_codes(
+def _encode_maps(
     order: int, counts: dict[int, dict[int, int]]
-) -> dict[int, _ContextCode]:
-    return {
-        j: _ContextCode(order, j, sorted(row.items()))
-        for j, row in counts.items()
-    }
+) -> dict[int, dict[int, tuple[int, int]]]:
+    """Map context index -> {successor symbol index -> (value, length)}."""
+    maps: dict[int, dict[int, tuple[int, int]]] = {}
+    solo: dict[int, dict[int, tuple[int, int]]] = {}  # shared per lone successor
+    for j, row in counts.items():
+        if len(row) == 1:
+            (i,) = row
+            code = solo.get(i)
+            if code is None:
+                code = solo[i] = {i: (0, 1)}
+            maps[j] = code
+        else:
+            maps[j] = {
+                i: (value, length)
+                for i, _, value, length in _successor_codes(order, j, sorted(row.items()))
+            }
+    return maps
 
 
 def _set_bit(buf: bytearray, pos: int) -> None:
@@ -215,7 +224,7 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
         )
 
     counts = _successor_counts(word, n, alphabet)
-    codes = _build_codes(n, counts)
+    codes = _encode_maps(n, counts)
     set_js = sorted(counts)
     for j in set_js:
         _set_bit(context_buf, j)
@@ -240,12 +249,8 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     tail = m ** (n - 1)
     for p in range(n, h):
         i = idx[word[p]]
-        entry = codes[j]
-        if entry.solo is not None:
-            stream.write_uint(0, 1)
-        else:
-            value, width = entry.encode_map[i]
-            stream.write_uint(value, width)
+        value, width = codes[j][i]
+        stream.write_uint(value, width)
         j = (j % tail) * m + i
 
     payload = EahPayload(
@@ -264,9 +269,11 @@ def _codes_from_maps(
     payload: EahPayload,
     set_js: list[int] | None = None,
     marked_positions: list[int] | None = None,
-) -> dict[int, _ContextCode]:
-    """Rebuild every context's code from the bitmaps and counts alone.
+) -> tuple[dict[int, tuple], int]:
+    """Rebuild every context's decoder table from the bitmaps and counts.
 
+    Returns the tables by context index, each (L, table) as described in
+    the module docstring, and the codeword stream's length in bits.
     Callers that already scanned the bitmaps may pass the set-bit
     positions to avoid a second pass.
     """
@@ -282,7 +289,7 @@ def _codes_from_maps(
     if h <= n:
         if set_js:
             raise CorruptHeaderError("context map set although the input fits the prefix")
-        return {}
+        return {}, 0
     if not set_js:
         raise CorruptHeaderError("no context is marked but symbols follow the prefix")
     s = len(set_js)
@@ -294,39 +301,60 @@ def _codes_from_maps(
         marked_positions = _scan_set_bits(payload.successor_map)
     if not marked_positions:
         raise CorruptHeaderError("no successor is marked")
-    if payload.freq_width < 1:
+    width = payload.freq_width
+    if width < 1:
         raise CorruptHeaderError("frequency field width must be positive")
-    if len(payload.freq_table) != payload.freq_width * len(marked_positions):
+    if len(payload.freq_table) != width * len(marked_positions):
         raise CorruptHeaderError(
             f"frequency table holds {len(payload.freq_table)} bits, expected "
-            f"{payload.freq_width * len(marked_positions)}"
+            f"{width * len(marked_positions)}"
         )
 
-    width = payload.freq_width
-    mask = (1 << width) - 1
-    packed = payload.freq_table.uint()
-    freqs = []
-    for _ in marked_positions:  # fields extracted back to front
-        freqs.append(packed & mask)
-        packed >>= width
-    freqs.reverse()
-    per_context: dict[int, list[tuple[int, int]]] = {j: [] for j in set_js}
-    total = 0
-    for pos, f in zip(marked_positions, freqs):  # ascending == symbol-major order
-        if f < 1:
-            raise CorruptHeaderError("marked successor with zero frequency")
-        i, r = divmod(pos, s)
-        per_context[set_js[r]].append((i, f))
-        total += f
-    if total != h - n:
+    fields = payload.freq_table.to01()
+    freqs = [int(fields[k : k + width], 2) for k in range(0, len(fields), width)]
+    if min(freqs) < 1:
+        raise CorruptHeaderError("marked successor with zero frequency")
+    if sum(freqs) != h - n:
         raise CorruptHeaderError(
-            f"frequencies sum to {total}, expected {h - n}"
+            f"frequencies sum to {sum(freqs)}, expected {h - n}"
         )
-    return {j: _ContextCode(n, j, pairs) for j, pairs in per_context.items() if pairs}
+    # ascending positions are symbol-major, so each rank's list is ascending
+    by_rank: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+    for pos, f in zip(marked_positions, freqs):
+        by_rank[pos % s].append((pos // s, f))
+
+    tables: dict[int, tuple] = {}
+    solo: dict[int, tuple] = {}  # shared per lone successor
+    stream_bits = 0
+    for j, pairs in zip(set_js, by_rank):
+        if not pairs:
+            continue  # decode reports the context if the stream reaches it
+        if len(pairs) == 1:
+            i, f = pairs[0]
+            entry = solo.get(i)
+            if entry is None:
+                entry = solo[i] = (1, [(i, 1), None])
+            tables[j] = entry
+            stream_bits += f
+            continue
+        codes = _successor_codes(n, j, pairs)
+        longest = max(length for _, _, _, length in codes)
+        stream_bits += sum(f * length for _, f, _, length in codes)
+        if longest <= TABLE_BITS:
+            table: list | dict = [None] * (1 << longest)
+            for i, _, value, length in codes:
+                span = 1 << (longest - length)
+                start = value * span
+                table[start : start + span] = [(i, length)] * span
+        else:
+            table = {(value, length): i for i, _, value, length in codes}
+        tables[j] = (longest, table)
+    return tables, stream_bits
 
 
 def _read_prefix(header: Header, prefix: BitString) -> tuple[bytearray, int]:
-    """Recover the verbatim first symbols; returns them and the context index."""
+    """Recover the verbatim first symbols; returns their indices and the
+    context index."""
     m = len(header.alphabet)
     sym_width = (m - 1).bit_length()
     count = min(header.length, header.order)
@@ -341,9 +369,34 @@ def _read_prefix(header: Header, prefix: BitString) -> tuple[bytearray, int]:
         i = reader.read_uint(sym_width)
         if i >= m:
             raise CorruptHeaderError(f"symbol index {i} outside alphabet of size {m}")
-        out.append(header.alphabet.symbol(i))
+        out.append(i)
         j = j * m + i
     return out, j
+
+
+def _walk_codeword(
+    table: dict[tuple[int, int], int],
+    longest: int,
+    data: bytes,
+    pos: int,
+    nbits: int,
+    j: int,
+) -> tuple[int, int]:
+    """Decode one codeword bit by bit; returns the symbol index and the
+    position after it."""
+    acc = 0
+    length = 0
+    while True:
+        if pos >= nbits:
+            raise TruncationError("codeword stream ended early")
+        acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+        pos += 1
+        length += 1
+        i = table.get((acc, length))
+        if i is not None:
+            return i, pos
+        if length >= longest:
+            raise CorruptStreamError(f"undecodable codeword in context index {j}")
 
 
 def decode(payload: EahPayload, header: Header) -> bytes:
@@ -352,53 +405,52 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     n = header.order
     h = header.length
     out, j = _read_prefix(header, payload.prefix)
-    codes = _codes_from_maps(header, payload)
+    cached = payload._tables
+    if cached is not None and cached[0] is header:
+        tables = cached[1]
+    else:
+        tables, _ = _codes_from_maps(header, payload)
+    symbols = header.alphabet.to_bytes()
+    symbols += bytes(256 - len(symbols))  # translate table: index -> byte
     if h <= n:
         if len(payload.stream):
             raise TrailingGarbageError("codeword stream present although unused")
-        return bytes(out)
+        return bytes(out).translate(symbols)
 
-    data = payload.stream.to_bytes()
     nbits = len(payload.stream)
+    # two zero bytes let every 3-byte peek at pos <= nbits read in full
+    data = payload.stream.to_bytes() + b"\x00\x00"
     pos = 0
     tail = m ** (n - 1)
-    symbols = header.alphabet.to_bytes()
-    codes_get = codes.get
+    tables_get = tables.get
+    from_bytes = int.from_bytes
+    append = out.append
     for _ in range(h - n):
-        table = codes_get(j)
-        if table is None:
+        context = tables_get(j)
+        if context is None:
             raise CorruptStreamError(f"no code table for context index {j}")
-        if pos >= nbits:
-            raise TruncationError("codeword stream ended early")
-        i = table.solo
-        if i is not None:
-            if (data[pos >> 3] >> (7 - (pos & 7))) & 1:
-                raise CorruptStreamError(
-                    f"undecodable codeword in context index {j}"
-                )
-            pos += 1
-        else:
-            acc = 0
-            length = 0
-            decode_map = table.decode_map
-            while True:
-                if pos >= nbits:
+        longest, table = context
+        if longest <= TABLE_BITS:
+            p = pos >> 3
+            entry = table[
+                (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
+                & ((1 << longest) - 1)
+            ]
+            if entry is None:
+                if pos + longest > nbits:
                     raise TruncationError("codeword stream ended early")
-                acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-                pos += 1
-                length += 1
-                i = decode_map.get((acc, length))
-                if i is not None:
-                    break
-                if length >= table.max_code_len:
-                    raise CorruptStreamError(
-                        f"undecodable codeword in context index {j}"
-                    )
-        out.append(symbols[i])
+                raise CorruptStreamError(f"undecodable codeword in context index {j}")
+            i, length = entry
+            pos += length
+        else:
+            i, pos = _walk_codeword(table, longest, data, pos, nbits, j)
+        if pos > nbits:
+            raise TruncationError("codeword stream ended early")
+        append(i)
         j = (j % tail) * m + i
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
-    return bytes(out)
+    return bytes(out).translate(symbols)
 
 
 def leahn_length(word: bytes, order: int) -> int:
@@ -428,7 +480,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
 
     The component boundaries are recovered from the bits themselves: the
     context map fixes the successor map's size, which fixes the frequency
-    table's, and the rebuilt code tables fix the stream's.
+    table's, and the rebuilt code tables fix the stream's.  Those tables
+    travel with the payload, so `decode` of the same payload and header
+    does not build them again.
     """
     if len(blob) < 7:
         raise TruncationError("container shorter than its fixed header")
@@ -466,8 +520,7 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     partial = EahPayload(
         prefix, context_map, successor_map, freq_table, EMPTY, freq_width
     )
-    codes = _codes_from_maps(header, partial, set_js, marked_positions)
-    stream_bits = sum(c.stream_bits for c in codes.values())
+    tables, stream_bits = _codes_from_maps(header, partial, set_js, marked_positions)
     try:
         stream = reader.read_bits(stream_bits)
     except TruncationError:
@@ -478,6 +531,7 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     payload = EahPayload(
         prefix, context_map, successor_map, freq_table, stream, freq_width
     )
+    object.__setattr__(payload, "_tables", (header, tables))
     return payload, header
 
 

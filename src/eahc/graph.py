@@ -70,13 +70,6 @@ class AdaptiveGraph:
             out.append((src, dst))
         return out
 
-    def context_vertices(self) -> list[Vertex]:
-        """Base vertices shaped like a context window, sorted by key."""
-        return sorted(
-            (v for v in self.vertices if not v.aux and len(v.key) == self.order),
-            key=lambda v: v.key,
-        )
-
 
 def build_graph(word: bytes, order: int, alphabet: Alphabet | None = None) -> AdaptiveGraph:
     """Construct the order-n transition graph of `word`.
@@ -144,21 +137,18 @@ def degree_stats(g: AdaptiveGraph, v: Vertex) -> tuple[int, int, int, int]:
     return (in_base, out_base, in_aux, out_aux)
 
 
+def _code_order(edge: Edge) -> tuple[bool, bytes]:
+    # successor symbols ascending, the order-1 aux successor last
+    return (edge[1].aux, edge[1].key)
+
+
 def successors_sorted(g: AdaptiveGraph, context: Vertex) -> tuple[Edge, ...]:
     """Transition edges out of a context window, in the fixed order the
     per-context code is built in: successor symbols ascending, with the
     order-1 aux successor last."""
-    base: list[Edge] = []
-    aux: list[Edge] = []
-    for (src, dst) in g.labels:
-        if src != context or src.aux:
-            continue
-        if dst.aux:
-            aux.append((src, dst))
-        elif not (g.order >= 2 and len(dst.key) == g.order):
-            base.append((src, dst))
-    base.sort(key=lambda e: e[1].key)
-    return tuple(base + aux)
+    return tuple(
+        sorted((e for e in g.transition_edges() if e[0] == context), key=_code_order)
+    )
 
 
 def assign_codewords(g: AdaptiveGraph) -> None:
@@ -168,10 +158,11 @@ def assign_codewords(g: AdaptiveGraph) -> None:
     frequencies, taken in successors_sorted order.  Structural edges keep
     the empty codeword.
     """
-    for context in g.context_vertices():
-        edges = successors_sorted(g, context)
-        if not edges:
-            continue
+    by_context: dict[Vertex, list[Edge]] = {}
+    for e in g.transition_edges():
+        by_context.setdefault(e[0], []).append(e)
+    for edges in by_context.values():
+        edges.sort(key=_code_order)
         codes = huffman([g.labels[e].frequency for e in edges])
         for e, (codeword, _) in zip(edges, codes):
             g.labels[e].codeword = codeword

@@ -1,63 +1,22 @@
 """Huffman coding over frequency tuples with positional code assignment.
 
-The algorithm works on a pool of work items, each a tuple whose first
-entry is the accumulated frequency, whose middle entries are per-merge
-depth accumulators, and whose last entry is the tuple of original
-positions it covers.  Codewords are grown by prepending one bit per merge,
-so entry i of the result always corresponds to frequency i of the input.
+Every input position starts as a leaf; the two pending nodes with the
+smallest totals are merged into a new internal node until one root
+remains.  Codewords are read from the root down, so entry i of the result
+always corresponds to frequency i of the input.
 
-Tie-breaking is fully deterministic: when several pool entries share the
-smallest totals, the later positions merge first.  Encoder and decoder
-must run the identical rule to regenerate identical codewords.
+Tie-breaking is fully deterministic: among nodes with equal totals the
+one created later merges first, and of the two nodes merged the one
+created earlier takes bit 0.  Encoder and decoder must run the identical
+rule to regenerate identical codewords.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .bitstream import BitString
-
-
-def append(p: tuple, q) -> tuple:
-    """Append element q to tuple p."""
-    return (*p, q)
-
-
-def remove_at(p: tuple, i: int) -> tuple:
-    """Remove the i-th element (1-based) from tuple p."""
-    if not 1 <= i <= len(p):
-        raise IndexError(f"index {i} out of range for tuple of length {len(p)}")
-    return p[: i - 1] + p[i:]
-
-
-def concat(u: tuple, v: tuple) -> tuple:
-    """Concatenate two tuples."""
-    return u + v
-
-
-def merge(m: tuple, n: tuple) -> tuple:
-    """Combine two work items: totals summed, every depth accumulator
-    incremented, member position tuples concatenated."""
-    return (
-        m[0] + n[0],
-        *(d + 1 for d in m[1:-1]),
-        *(d + 1 for d in n[1:-1]),
-        concat(m[-1], n[-1]),
-    )
-
-
-def _smallest_pair(pool: Sequence[tuple]) -> tuple[int, int]:
-    # two entries with the smallest totals; equal totals prefer the later
-    # position (required to match the published per-context codes)
-    best1 = best2 = None
-    for q, item in enumerate(pool):
-        key = (item[0], -q)
-        if best1 is None or key < best1:
-            best1, best2 = key, best1
-        elif best2 is None or key < best2:
-            best2 = key
-    i, j = sorted((-best1[1], -best2[1]))
-    return i, j
 
 
 def code_pairs(freqs: Sequence[int]) -> list[tuple[int, int]]:
@@ -76,21 +35,31 @@ def code_pairs(freqs: Sequence[int]) -> list[tuple[int, int]]:
         return [(0, 1)]
     if k == 2:
         return [(0, 1), (1, 1)]  # single merge, position order
-    codes = [(0, 0)] * k  # (value, length), bits prepended at the front
-    pool = [(f, 0, (q,)) for q, f in enumerate(freqs)]
-    while len(pool) > 1:
-        i, j = _smallest_pair(pool)
-        for x in pool[i][-1]:
-            value, length = codes[x]
-            codes[x] = (value, length + 1)
-        for x in pool[j][-1]:
-            value, length = codes[x]
-            codes[x] = ((1 << length) | value, length + 1)
-        merged = merge(pool[i], pool[j])
-        del pool[j]
-        del pool[i]
-        pool.append(merged)
-    return codes
+    # heap keys (total, -node id): node ids count up in creation order, so
+    # equal totals pop the later-created node first
+    heap = [(f, -q) for q, f in enumerate(freqs)]
+    heapify(heap)
+    zero: list[int] = []  # children of internal node k + t, by bit
+    one: list[int] = []
+    for node in range(k, 2 * k - 1):
+        total_a, a = heappop(heap)
+        total_b, b = heappop(heap)
+        # a and b are negated ids: the larger one was created earlier
+        if a > b:
+            zero.append(-a)
+            one.append(-b)
+        else:
+            zero.append(-b)
+            one.append(-a)
+        heappush(heap, (total_a + total_b, -node))
+    codes = [(0, 0)] * (2 * k - 1)
+    for t in range(k - 2, -1, -1):  # a parent is created after its children
+        value, length = codes[k + t]
+        value <<= 1
+        length += 1
+        codes[zero[t]] = (value, length)
+        codes[one[t]] = (value | 1, length)
+    return codes[:k]
 
 
 def huffman(freqs: Sequence[int]) -> tuple[tuple[BitString, int], ...]:

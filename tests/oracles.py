@@ -87,3 +87,94 @@ def assert_component_identities(payload, header) -> None:
         assert marked_contexts > 0
     else:
         assert marked_contexts == 0 and payload.freq_width == 0
+
+
+def pool_code_pairs(freqs) -> list[tuple[int, int]]:
+    """Positional Huffman codewords by the original quadratic pool rule.
+
+    The pool keeps work items (total, member positions) in creation order.
+    Each step scans for the two smallest totals, preferring the later pool
+    position on ties, prepends bit 0 to the members of the earlier of the
+    two and bit 1 to the later, and appends their merge to the pool.
+    """
+    k = len(freqs)
+    if k == 1:
+        return [(0, 1)]
+    codes = [(0, 0)] * k
+    pool = [(f, (q,)) for q, f in enumerate(freqs)]
+    while len(pool) > 1:
+        first = second = None  # pool positions of the two smallest keys
+        for q, (total, _) in enumerate(pool):
+            if first is None or total <= pool[first][0]:
+                first, second = q, first
+            elif second is None or total <= pool[second][0]:
+                second = q
+        i, j = sorted((first, second))
+        for x in pool[i][1]:
+            value, length = codes[x]
+            codes[x] = (value, length + 1)
+        for x in pool[j][1]:
+            value, length = codes[x]
+            codes[x] = ((1 << length) | value, length + 1)
+        merged = (pool[i][0] + pool[j][0], pool[i][1] + pool[j][1])
+        del pool[j]
+        del pool[i]
+        pool.append(merged)
+    return codes
+
+
+def reference_stream_decode(payload, header):
+    """Decode a payload's codeword stream one bit at a time.
+
+    The per-context codes are rebuilt from the bitmaps with
+    pool_code_pairs, taking successors in ascending symbol order with the
+    order-1 repeat successor last.  Returns the original bytes, or
+    "truncated", "corrupt" or "trailing" where the stream ends inside a
+    codeword, holds a codeword no context code has, or runs on past the
+    last symbol.  The bitmaps and counts must be consistent.
+    """
+    m = len(header.alphabet)
+    n = header.order
+    h = header.length
+    width = (m - 1).bit_length()
+    prefix = payload.prefix.to01()
+    out = [int(prefix[t * width : (t + 1) * width] or "0", 2) for t in range(min(h, n))]
+    contexts = [j for j, bit in enumerate(payload.context_map.to01()) if bit == "1"]
+    marked = [p for p, bit in enumerate(payload.successor_map.to01()) if bit == "1"]
+    fields = payload.freq_table.to01()
+    w = payload.freq_width
+    rows = {j: [] for j in contexts}
+    for k, p in enumerate(marked):
+        i, r = divmod(p, len(contexts))
+        rows[contexts[r]].append((i, int(fields[k * w : (k + 1) * w], 2)))
+    codes = {}
+    for j, row in rows.items():
+        if n == 1:
+            row = sorted(row, key=lambda pair: pair[0] == j)
+        words = pool_code_pairs([f for _, f in row])
+        codes[j] = {format(v, f"0{l}b"): i for (i, _), (v, l) in zip(row, words)}
+
+    bits = payload.stream.to01()
+    pos = 0
+    j = 0
+    for i in out:
+        j = j * m + i
+    for _ in range(h - n):
+        code = codes.get(j)
+        if code is None:
+            return "corrupt"
+        longest = max(map(len, code))
+        word = ""
+        while word not in code:
+            if len(word) >= longest:
+                return "corrupt"
+            if pos >= len(bits):
+                return "truncated"
+            word += bits[pos]
+            pos += 1
+        i = code[word]
+        out.append(i)
+        j = (j % m ** (n - 1)) * m + i
+    if pos != len(bits):
+        return "trailing"
+    return bytes(header.alphabet.to_bytes()[i] for i in out)

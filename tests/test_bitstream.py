@@ -165,6 +165,20 @@ class TestReaderWriter:
                 got += r.read_bits(step).to01()
             assert got == bits
 
+    def test_aligned_odd_reads_match_slow_path(self):
+        rng = random.Random(5)
+        data = bytes(rng.randrange(256) for _ in range(64))
+        for _ in range(300):
+            start = 8 * rng.randint(0, 40)
+            count = rng.randint(1, 8 * 64 - start)
+            fast = BitReader(data)
+            fast.read_bits(start)
+            slow = BitReader(data)
+            slow.read_uint(start)
+            got = fast.read_bits(count)
+            assert got == BitString.from_int(slow.read_uint(count), count)
+            assert fast.position == start + count
+
     def test_write_uint_matches_bit_writes(self):
         rng = random.Random(4)
         for _ in range(200):

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from eahc import codec
 from eahc.bitstream import EMPTY, BitString
 from eahc.codec import (
     EahPayload,
@@ -16,13 +18,33 @@ from eahc.codec import (
 )
 from eahc.errors import (
     CorruptHeaderError,
+    CorruptStreamError,
     TrailingGarbageError,
     TruncationError,
 )
 from eahc.graph import assign_codewords, build_graph
-from oracles import SAMPLE_200, assert_component_identities
+from oracles import SAMPLE_200, assert_component_identities, reference_stream_decode
 
 W9 = b"abccdbbab"
+
+
+def _long_code_word() -> bytes:
+    """An order-1 input whose context 0x00 has 14 successors with
+    Fibonacci counts, so its longest codeword is 13 bits."""
+    fib = [1, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    successors = [s for t, f in enumerate(fib) for s in [t + 1] * f]
+    random.Random(44).shuffle(successors)
+    return bytes(b for s in successors for b in (0, s))
+
+
+LONG_CODE_WORD = _long_code_word()
+REFERENCE_ERRORS = {
+    "truncated": TruncationError,
+    "corrupt": CorruptStreamError,
+    "trailing": TrailingGarbageError,
+}
 
 
 class TestEncodeGoldens:
@@ -153,6 +175,61 @@ class TestDecode:
         bad_header = Header(header.order, header.alphabet, header.length + 1)
         with pytest.raises(CorruptHeaderError):
             decode(payload, bad_header)
+
+
+class TestDecodeTables:
+    def test_long_codewords_use_the_bitwise_fallback(self):
+        payload, header = deserialize(compress(LONG_CODE_WORD, 1))
+        longest, table = payload._tables[1][0]
+        assert longest == 13 > codec.TABLE_BITS
+        assert isinstance(table, dict)
+        assert decode(payload, header) == LONG_CODE_WORD
+
+    @pytest.mark.parametrize(
+        "word, order",
+        [(SAMPLE_200, 1), (SAMPLE_200, 2), (LONG_CODE_WORD, 1), (W9 * 5, 2)],
+        ids=["sample200-1", "sample200-2", "long-code-1", "w9x5-2"],
+    )
+    def test_damaged_streams_match_bitwise_reference(self, word, order):
+        payload, header = encode(word, order)
+        bits = payload.stream.to01()
+        rng = random.Random(45)
+        streams = []
+        for k in rng.sample(range(len(bits)), min(len(bits), 200)):
+            streams.append(BitString.from_str(bits[:k]))
+            flipped = bits[:k] + "10"[int(bits[k])] + bits[k + 1 :]
+            streams.append(BitString.from_str(flipped))
+        for stream in streams:
+            damaged = dataclasses.replace(payload, stream=stream)
+            expected = reference_stream_decode(damaged, header)
+            if isinstance(expected, bytes):
+                assert decode(damaged, header) == expected
+            else:
+                with pytest.raises(REFERENCE_ERRORS[expected]):
+                    decode(damaged, header)
+
+    def test_decompress_builds_tables_once(self, monkeypatch):
+        calls = []
+        build = codec._codes_from_maps
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "_codes_from_maps", counted)
+        assert decompress(compress(SAMPLE_200, 2)) == SAMPLE_200
+        assert len(calls) == 1
+
+    def test_replaced_payload_rebuilds_its_tables(self):
+        payload, header = deserialize(compress(W9, 1))
+        bits = payload.freq_table.to01()
+        replaced = dataclasses.replace(
+            payload, freq_table=BitString.from_str("11" + bits[2:])
+        )
+        assert replaced._tables is None
+        with pytest.raises(CorruptHeaderError):
+            decode(replaced, header)
+        assert decode(dataclasses.replace(payload), header) == W9
 
 
 class TestContainer:

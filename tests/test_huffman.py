@@ -3,36 +3,8 @@ import random
 
 import pytest
 
-from eahc.huffman import append, concat, huffman, merge, remove_at
-from oracles import optimal_prefix_cost
-
-
-class TestTupleOperators:
-    def test_append(self):
-        assert append((1, 2), 3) == (1, 2, 3)
-        assert append((), 5) == (5,)
-        assert append(((1,), (2,)), (3,)) == ((1,), (2,), (3,))
-
-    def test_remove_at(self):
-        assert remove_at((1, 2, 3), 2) == (1, 3)
-        assert remove_at((7,), 1) == ()
-        assert remove_at((1, 2, 3), 3) == (1, 2)
-
-    def test_remove_at_out_of_range(self):
-        with pytest.raises(IndexError):
-            remove_at((1, 2), 0)
-        with pytest.raises(IndexError):
-            remove_at((1, 2), 3)
-
-    def test_concat(self):
-        assert concat((1,), (2, 3)) == (1, 2, 3)
-        assert concat((), ()) == ()
-        assert concat((1, 2), ()) == (1, 2)
-
-    def test_merge_work_items(self):
-        assert merge((8, 0, (1,)), (23, 0, (2,))) == (31, 1, 1, (1, 2))
-        assert merge((22, 0, (1,)), (14, 0, (2,))) == (36, 1, 1, (1, 2))
-        assert merge((31, 1, 1, (1, 2)), (64, 0, (3,))) == (95, 2, 2, 1, (1, 2, 3))
+from eahc.huffman import code_pairs, huffman
+from oracles import optimal_prefix_cost, pool_code_pairs
 
 
 def codewords(freqs):
@@ -112,3 +84,16 @@ class TestHuffman:
         for perm in itertools.permutations(base):
             lengths = [l for _, l in huffman(perm)]
             assert {f: l for f, l in zip(perm, lengths)} == expected
+
+
+class TestCodePairs:
+    def test_matches_pool_reference(self):
+        # every k from 1 to 256 twice, then many small tuples; narrow
+        # frequency ranges force ties among totals
+        rng = random.Random(14)
+        sizes = [k for k in range(1, 257) for _ in range(2)]
+        sizes += [rng.randint(1, 16) for _ in range(20_000 - len(sizes))]
+        for k in sizes:
+            high = rng.choice((1, 2, 3, 8, 1000))
+            freqs = [rng.randint(1, high) for _ in range(k)]
+            assert code_pairs(freqs) == pool_code_pairs(freqs), freqs
