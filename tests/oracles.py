@@ -178,3 +178,64 @@ def reference_stream_decode(payload, header):
     if pos != len(bits):
         return "trailing"
     return bytes(header.alphabet.to_bytes()[i] for i in out)
+
+
+def _dot_name(key: bytes, aux: bool) -> str:
+    name = "".join(
+        chr(b) if 33 <= b <= 126 and b not in (34, 92) else f"x{b:02X}" for b in key
+    )
+    return name + "_aux" if aux else name
+
+
+def reference_dot(word: bytes, order: int) -> str:
+    """DOT text of the order-n transition graph with its codewords.
+
+    Every edge comes from a position scan: window -> successor with its
+    count (at order 1 a repeat goes symbol -> aux with the count, plus an
+    aux -> symbol return edge), and for n >= 2 a symbol -> window linking
+    edge at every position p in [n, h - 1) from word[p] to the window
+    ending at p.  Return and linking edges carry frequency 0 and no
+    codeword.  Each window's codewords come from pool_code_pairs over its
+    successors in ascending symbol order, the aux successor last.
+    """
+    n = order
+    h = len(word)
+    vertices: set[tuple[bytes, bool]] = set()
+    labels: dict[tuple, list] = {}  # (src, dst) -> [frequency, codeword]
+
+    def edge(src, dst, count):
+        vertices.update((src, dst))
+        labels.setdefault((src, dst), [0, ""])[0] += count
+
+    for p in range(h - n):
+        window = word[p : p + n]
+        succ = word[p + n : p + n + 1]
+        if n == 1 and window == succ:
+            edge((succ, False), (succ, True), 1)
+            edge((succ, True), (succ, False), 0)
+        else:
+            edge((window, False), (succ, False), 1)
+    if n >= 2:
+        for p in range(n, h - 1):
+            edge((word[p : p + 1], False), (word[p - n + 1 : p + 1], False), 0)
+
+    by_source: dict[tuple, list] = {}
+    for (src, dst), label in labels.items():
+        if label[0]:
+            by_source.setdefault(src, []).append((dst[1], dst[0], (src, dst)))
+    for row in by_source.values():
+        row.sort()
+        codes = pool_code_pairs([labels[e][0] for _, _, e in row])
+        for (_, _, e), (value, length) in zip(row, codes):
+            labels[e][1] = format(value, f"0{length}b")
+
+    lines = ["digraph G {"]
+    lines += [f'  "{name}";' for name in sorted(_dot_name(*v) for v in vertices)]
+    for src, dst in sorted(labels, key=lambda e: (_dot_name(*e[0]), _dot_name(*e[1]))):
+        frequency, code = labels[(src, dst)]
+        lines.append(
+            f'  "{_dot_name(*src)}" -> "{_dot_name(*dst)}" '
+            f'[label="({frequency},{code or "λ"})"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

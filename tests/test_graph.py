@@ -10,7 +10,7 @@ from eahc.graph import (
     export_dot,
     successors_sorted,
 )
-from oracles import SAMPLE_200, scan_transition_counts
+from oracles import SAMPLE_200, reference_dot, scan_transition_counts
 
 
 def vertex(name):
@@ -246,3 +246,14 @@ class TestExportDot:
         g = build_graph(bytes([0, 10, 0, 10]), 1)
         text = export_dot(g)
         assert '"x00"' in text and '"x0A"' in text
+
+    def test_matches_reference_dot(self):
+        # byte-identical DOT, escaping and order-3 linking edges included
+        rng = random.Random(35)
+        for _ in range(2400):
+            n = rng.randint(1, 3)
+            symbols = bytes(rng.sample(range(256), rng.randint(1, 6)))
+            word = bytes(rng.choice(symbols) for _ in range(rng.randint(0, 60)))
+            g = build_graph(word, n)
+            assign_codewords(g)
+            assert export_dot(g) == reference_dot(word, n), (word, n)
