@@ -22,7 +22,7 @@ from .baselines import (
     lz78_encode,
     lz78_report,
 )
-from .bitstream import EMPTY, BitReader, BitString, BitWriter, b10, b10b2, mb10b2
+from .bitstream import EMPTY, BitReader, BitString, BitWriter, b10
 from .codec import (
     EahPayload,
     Header,
@@ -48,9 +48,7 @@ from .graph import (
     Vertex,
     assign_codewords,
     build_graph,
-    degree_stats,
     export_dot,
-    successors_sorted,
 )
 from .huffman import huffman
 
@@ -73,8 +71,6 @@ __all__ = [
     "BitString",
     "BitWriter",
     "b10",
-    "b10b2",
-    "mb10b2",
     "EahPayload",
     "Header",
     "compress",
@@ -95,9 +91,7 @@ __all__ = [
     "Vertex",
     "assign_codewords",
     "build_graph",
-    "degree_stats",
     "export_dot",
-    "successors_sorted",
     "huffman",
     "__version__",
 ]

@@ -5,13 +5,18 @@ context (a context is the string of up to n preceding symbols, including
 the empty context for the first position).  If each context's codeword
 set is a prefix code, the extension of the table to whole strings is
 injective, so encoded strings decode uniquely.
+
+`_walk_codeword` reads one codeword bit by bit against a (value, length)
+-> symbol map.  `decode_with_table` uses it for every symbol, and the
+codec's decoder for contexts whose codewords are too long for its lookup
+tables, so the package has one bit-by-bit walk.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .bitstream import BitReader, BitString, BitWriter
+from .bitstream import BitString, BitWriter
 from .errors import (
     CorruptStreamError,
     TableIncompleteError,
@@ -167,6 +172,35 @@ def validate_prefix_condition(table: CodeTable) -> bool:
     return True
 
 
+def _walk_codeword(
+    table: Mapping[tuple[int, int], int],
+    longest: int,
+    data: bytes,
+    pos: int,
+    nbits: int,
+    context: object,
+) -> tuple[int, int]:
+    """Decode one codeword bit by bit from position `pos` of the first
+    `nbits` bits of `data`; returns the symbol and the position after it.
+
+    `table` maps (value, length) to the symbol, `longest` is its longest
+    codeword length and `context` names the context in error messages.
+    """
+    acc = 0
+    length = 0
+    while True:
+        if pos >= nbits:
+            raise TruncationError("codeword stream ended early")
+        acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+        pos += 1
+        length += 1
+        sym = table.get((acc, length))
+        if sym is not None:
+            return sym, pos
+        if length >= longest:
+            raise CorruptStreamError(f"undecodable codeword in context {context!r}")
+
+
 def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     """Invert `extend`: recover exactly `count` symbols from `bits`.
 
@@ -176,32 +210,19 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    reader = BitReader(bits)
+    data = bits.to_bytes()
+    nbits = len(bits)
+    pos = 0
     out = bytearray()
     for _ in range(count):
         ctx = bytes(out[max(0, len(out) - table.order) :])
         if ctx not in table:
             raise TableIncompleteError(f"no column for context {ctx!r}")
         decoder, max_len = table._decoder(ctx)
-        acc = 0
-        length = 0
-        while True:
-            if reader.remaining() == 0:
-                raise TruncationError("bit stream ended inside a codeword")
-            acc = (acc << 1) | reader.read_bit()
-            length += 1
-            sym = decoder.get((acc, length))
-            if sym is not None:
-                break
-            if length >= max_len:
-                raise CorruptStreamError(
-                    f"no codeword matches in context {ctx!r}"
-                )
+        sym, pos = _walk_codeword(decoder, max_len, data, pos, nbits, ctx)
         out.append(sym)
-    if reader.remaining():
-        raise TrailingGarbageError(
-            f"{reader.remaining()} bits left after {count} symbols"
-        )
+    if pos != nbits:
+        raise TrailingGarbageError(f"{nbits - pos} bits left after {count} symbols")
     return bytes(out)
 
 

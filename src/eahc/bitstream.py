@@ -95,17 +95,6 @@ class BitString:
 EMPTY = BitString(b"", 0)
 
 
-def b10b2(value: int) -> BitString:
-    """Minimal-length binary representation of a nonnegative integer.
-
-    No leading zeros; 0 maps to the single bit "0" so the function stays
-    total for fixed-width padding.
-    """
-    if value < 0:
-        raise ValueError("value must be >= 0")
-    return BitString.from_int(value, max(1, value.bit_length()))
-
-
 def b10(value: int, base: int, width: int) -> tuple[int, ...]:
     """Fixed-width base-`base` digits of `value`, most significant first.
 
@@ -120,14 +109,6 @@ def b10(value: int, base: int, width: int) -> tuple[int, ...]:
     for i in range(width - 1, -1, -1):
         value, digits[i] = divmod(value, base)
     return tuple(digits)
-
-
-def mb10b2(value: int, max_width: int) -> BitString:
-    """b10b2(value) left-padded with zeros to exactly `max_width` bits."""
-    need = len(b10b2(value))
-    if need > max_width:
-        raise ValueError(f"{value} needs {need} bits, field is {max_width} wide")
-    return BitString.from_int(value, max_width)
 
 
 class BitWriter:

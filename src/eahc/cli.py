@@ -36,10 +36,15 @@ class BenchRow:
 
 def _max_order() -> int:
     raw = os.environ.get("EAHC_MAX_ORDER", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SystemExit(f"error: EAHC_MAX_ORDER must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _check_orders(orders: list[int]) -> None:

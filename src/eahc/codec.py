@@ -15,6 +15,9 @@ For order 1 a context followed by itself is recorded on the diagonal of
 successor_map (symbol index == context index), mirroring the aux-vertex
 routing of the transition graph.  The decoder rebuilds the identical
 codes from the bitmaps and counts alone; it never sees the input.
+`_successor_counts` and `_successor_codes` are the one context model:
+`graph.build_graph` and `graph.assign_codewords` read the transition
+graph and its codewords off them.
 
 Each side keeps only the map it needs.  The encoder maps a context's
 successor to its (value, length) codeword.  The decoder turns each
@@ -22,10 +25,11 @@ context's code into a lookup table over the next L bits of the stream,
 where L is the context's longest codeword: entry v holds the (symbol,
 length) of the codeword that prefixes v.  A context whose codewords
 exceed TABLE_BITS is walked bit by bit through a (value, length) dict
-instead, and every lone-successor context of a symbol shares one
-two-entry table.  `deserialize` builds these tables once while it finds
-the stream's length and hands them to `decode` inside the payload, so a
-container's codes are rebuilt once per `decompress`.
+instead, by `adaptive_code._walk_codeword`, and every lone-successor
+context of a symbol shares one two-entry table.  `deserialize` builds
+these tables once while it finds the stream's length and hands them to
+`decode` inside the payload, so a container's codes are rebuilt once
+per `decompress`.
 
 Container wire format (all integers little-endian):
 
@@ -49,7 +53,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 
-from .adaptive_code import Alphabet
+from .adaptive_code import Alphabet, _walk_codeword
 from .bitstream import EMPTY, BitReader, BitString, BitWriter
 from .errors import (
     CorruptHeaderError,
@@ -374,31 +378,6 @@ def _read_prefix(header: Header, prefix: BitString) -> tuple[bytearray, int]:
     return out, j
 
 
-def _walk_codeword(
-    table: dict[tuple[int, int], int],
-    longest: int,
-    data: bytes,
-    pos: int,
-    nbits: int,
-    j: int,
-) -> tuple[int, int]:
-    """Decode one codeword bit by bit; returns the symbol index and the
-    position after it."""
-    acc = 0
-    length = 0
-    while True:
-        if pos >= nbits:
-            raise TruncationError("codeword stream ended early")
-        acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-        pos += 1
-        length += 1
-        i = table.get((acc, length))
-        if i is not None:
-            return i, pos
-        if length >= longest:
-            raise CorruptStreamError(f"undecodable codeword in context index {j}")
-
-
 def decode(payload: EahPayload, header: Header) -> bytes:
     """Reconstruct the original bytes from a payload and its header."""
     m = len(header.alphabet)
@@ -439,7 +418,7 @@ def decode(payload: EahPayload, header: Header) -> bytes:
             if entry is None:
                 if pos + longest > nbits:
                     raise TruncationError("codeword stream ended early")
-                raise CorruptStreamError(f"undecodable codeword in context index {j}")
+                raise CorruptStreamError(f"undecodable codeword in context {j}")
             i, length = entry
             pos += length
         else:

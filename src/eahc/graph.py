@@ -1,12 +1,14 @@
 """Transition graph of order n for a symbol string.
 
-Base vertices are the length-n windows of the string together with the
-symbols that follow them; a directed edge (context, symbol) is labeled
-with the number of positions where that transition occurs.  For order 1,
-an immediate repeat of a symbol is routed through a companion aux vertex
-instead of a self-loop; the aux return edge and, for n >= 2, the
-symbol-to-window linking edges are structural only (frequency 0, empty
-codeword).
+The graph is a view of the codec's context model.  Base vertices are the
+length-n windows of the string together with the symbols that follow
+them; a directed edge (context, symbol) carries the number of positions
+where that transition occurs, taken from `codec._successor_counts`, and
+its codeword comes from `codec._successor_codes`, the code the encoder
+emits for it.  For order 1, an immediate repeat of a symbol is routed
+through a companion aux vertex instead of a self-loop; the aux return
+edge and, for n >= 2, the symbol-to-window linking edges are structural
+only (frequency 0, empty codeword).
 
 A string no longer than n yields the empty graph.  Construction is
 single-owner; once codewords are assigned the graph is effectively
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import codec
 from .adaptive_code import Alphabet
-from .bitstream import EMPTY, BitString
-from .huffman import huffman
+from .bitstream import EMPTY, BitString, b10
 
 Edge = tuple["Vertex", "Vertex"]
 
@@ -51,121 +53,75 @@ class AdaptiveGraph:
         self.vertices: set[Vertex] = set()
         self.labels: dict[Edge, EdgeLabel] = {}
 
-    @property
-    def edges(self):
-        return self.labels.keys()
-
     def is_empty(self) -> bool:
         return not self.vertices
 
     def transition_edges(self) -> list[Edge]:
         """Edges that carry a frequency: window->symbol plus, for order 1,
-        the symbol->aux repeats.  Return and linking edges are excluded."""
-        out = []
-        for (src, dst) in self.labels:
-            if src.aux:
-                continue  # aux return edge
-            if not dst.aux and self.order >= 2 and len(dst.key) == self.order:
-                continue  # symbol->window linking edge
-            out.append((src, dst))
-        return out
+        the symbol->aux repeats.  Return and linking edges have frequency 0."""
+        return [e for e, label in self.labels.items() if label.frequency]
 
 
-def build_graph(word: bytes, order: int, alphabet: Alphabet | None = None) -> AdaptiveGraph:
+def _context_index(alphabet: Alphabet, window: bytes) -> int:
+    j = 0
+    for s in window:
+        j = j * len(alphabet) + alphabet.index(s)
+    return j
+
+
+def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     """Construct the order-n transition graph of `word`.
 
-    Overlapping occurrences are counted at every position.  If an
-    alphabet is not supplied it is derived from the distinct bytes of
-    `word` in ascending order.
+    Overlapping occurrences are counted at every position.  The alphabet
+    is the distinct bytes of `word` in ascending order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     word = bytes(word)
-    if alphabet is None and word:
-        alphabet = Alphabet.from_bytes(word)
-    g = AdaptiveGraph(order, alphabet)
-    h = len(word)
     n = order
-    if h <= n:
+    g = AdaptiveGraph(n, Alphabet.from_bytes(word) if word else None)
+    if len(word) <= n:
         return g
+    symbols = g.alphabet.to_bytes()
+    m = len(symbols)
 
-    for j in range(h - n):
-        g.vertices.add(Vertex(word[j : j + n]))
-    for j in range(n, h):
-        g.vertices.add(Vertex(word[j : j + 1]))
-    if n == 1:
-        for j in range(h - 1):
-            if word[j] == word[j + 1]:
-                g.vertices.add(Vertex(word[j : j + 1], aux=True))
+    def add_edge(src: Vertex, dst: Vertex, frequency: int = 0) -> None:
+        g.vertices.update((src, dst))
+        g.labels[(src, dst)] = EdgeLabel(frequency)
 
-    def add_edge(src: Vertex, dst: Vertex) -> EdgeLabel:
-        label = g.labels.get((src, dst))
-        if label is None:
-            label = g.labels[(src, dst)] = EdgeLabel()
-        return label
-
-    for j in range(h - n):
-        succ = Vertex(word[j + n : j + n + 1])
-        if n == 1 and word[j] == word[j + 1]:
-            aux = Vertex(word[j : j + 1], aux=True)
-            add_edge(succ, aux).frequency += 1
-            add_edge(aux, succ)
-        else:
-            add_edge(Vertex(word[j : j + n]), succ).frequency += 1
-    if n >= 2:
-        for p in range(n, h - 1):
-            add_edge(Vertex(word[p : p + 1]), Vertex(word[p - n + 1 : p + 1]))
+    # the first window also starts a later position iff it occurs twice
+    first = _context_index(g.alphabet, word[:n])
+    for j, row in codec._successor_counts(word, n, g.alphabet).items():
+        window = bytes(symbols[d] for d in b10(j, m, n))
+        context = Vertex(window)
+        for i, f in row.items():
+            succ = Vertex(symbols[i : i + 1])
+            if n == 1 and i == j:
+                aux = Vertex(window, aux=True)
+                add_edge(succ, aux, f)
+                add_edge(aux, succ)
+            else:
+                add_edge(context, succ, f)
+        # every window starting after position 0 is entered from its last symbol
+        if n >= 2 and (j != first or sum(row.values()) > 1):
+            add_edge(Vertex(window[-1:]), context)
     return g
-
-
-def degree_stats(g: AdaptiveGraph, v: Vertex) -> tuple[int, int, int, int]:
-    """Edge counts (in from base, out to base, in from aux, out to aux)."""
-    if v not in g.vertices:
-        raise KeyError(f"vertex {v.name!r} not in graph")
-    in_base = out_base = in_aux = out_aux = 0
-    for (src, dst) in g.labels:
-        if dst == v:
-            if src.aux:
-                in_aux += 1
-            else:
-                in_base += 1
-        if src == v:
-            if dst.aux:
-                out_aux += 1
-            else:
-                out_base += 1
-    return (in_base, out_base, in_aux, out_aux)
-
-
-def _code_order(edge: Edge) -> tuple[bool, bytes]:
-    # successor symbols ascending, the order-1 aux successor last
-    return (edge[1].aux, edge[1].key)
-
-
-def successors_sorted(g: AdaptiveGraph, context: Vertex) -> tuple[Edge, ...]:
-    """Transition edges out of a context window, in the fixed order the
-    per-context code is built in: successor symbols ascending, with the
-    order-1 aux successor last."""
-    return tuple(
-        sorted((e for e in g.transition_edges() if e[0] == context), key=_code_order)
-    )
 
 
 def assign_codewords(g: AdaptiveGraph) -> None:
     """Label every transition edge with its per-context Huffman codeword.
 
-    Each context window gets a prefix code over its successor
-    frequencies, taken in successors_sorted order.  Structural edges keep
-    the empty codeword.
+    Each context window gets the codec's prefix code over its successor
+    frequencies.  Structural edges keep the empty codeword.
     """
-    by_context: dict[Vertex, list[Edge]] = {}
+    by_context: dict[Vertex, dict[int, Edge]] = {}
     for e in g.transition_edges():
-        by_context.setdefault(e[0], []).append(e)
-    for edges in by_context.values():
-        edges.sort(key=_code_order)
-        codes = huffman([g.labels[e].frequency for e in edges])
-        for e, (codeword, _) in zip(edges, codes):
-            g.labels[e].codeword = codeword
+        by_context.setdefault(e[0], {})[g.alphabet.index(e[1].key[0])] = e
+    for src, row in by_context.items():
+        pairs = [(i, g.labels[row[i]].frequency) for i in sorted(row)]
+        j = _context_index(g.alphabet, src.key)
+        for i, _, value, length in codec._successor_codes(g.order, j, pairs):
+            g.labels[row[i]].codeword = BitString.from_int(value, length)
 
 
 def export_dot(g: AdaptiveGraph) -> str:

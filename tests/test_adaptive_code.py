@@ -211,3 +211,15 @@ class TestRoundTripProperty:
                 )
                 encoded = extend(table, word)
                 assert decode_with_table(table, encoded, len(word)) == word
+                bits = encoded.to01()
+                for cut in range(len(bits)):
+                    with pytest.raises(TruncationError):
+                        decode_with_table(
+                            table, BitString.from_str(bits[:cut]), len(word)
+                        )
+                with pytest.raises(TrailingGarbageError):
+                    decode_with_table(
+                        table,
+                        BitString.from_str(bits + rng.choice("01")),
+                        len(word),
+                    )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eahc.bitstream import EMPTY, BitReader, BitString, BitWriter, b10, b10b2, mb10b2
+from eahc.bitstream import EMPTY, BitReader, BitString, BitWriter, b10
 from eahc.errors import TruncationError
 
 
@@ -53,24 +53,6 @@ class TestBitString:
 
 class TestConversions:
     @pytest.mark.parametrize(
-        "value,expected",
-        [(5, "101"), (0, "0"), (37, "100101"), (1, "1"), (2, "10")],
-    )
-    def test_b10b2(self, value, expected):
-        assert b10b2(value).to01() == expected
-
-    def test_b10b2_round_trip_over_full_range(self):
-        for j in range(2**20 + 1):
-            bits = b10b2(j)
-            assert bits.uint() == j
-        # no leading zeros beyond the single "0"
-        assert b10b2(2**20).to01()[0] == "1"
-
-    def test_b10b2_rejects_negative(self):
-        with pytest.raises(ValueError):
-            b10b2(-1)
-
-    @pytest.mark.parametrize(
         "value,base,width,expected",
         [
             (7, 5, 2, (1, 2)),
@@ -98,27 +80,6 @@ class TestConversions:
             b10(25, 5, 2)
         with pytest.raises(ValueError):
             b10(-1, 5, 2)
-
-    @pytest.mark.parametrize(
-        "value,width,expected",
-        [(8, 6, "001000"), (37, 6, "100101"), (1, 3, "001")],
-    )
-    def test_mb10b2_examples(self, value, width, expected):
-        assert mb10b2(value, width).to01() == expected
-
-    def test_mb10b2_width_error(self):
-        with pytest.raises(ValueError):
-            mb10b2(8, 3)
-
-    def test_mb10b2_strips_back_to_minimal(self):
-        rng = random.Random(2)
-        for _ in range(200):
-            value = rng.randrange(1 << 16)
-            width = max(1, value.bit_length()) + rng.randint(0, 8)
-            padded = mb10b2(value, width)
-            assert len(padded) == width
-            assert padded.to01().lstrip("0") == b10b2(value).to01().lstrip("0")
-            assert padded.uint() == value
 
 
 class TestReaderWriter:

@@ -66,6 +66,15 @@ class TestEncodeDecode:
         monkeypatch.setenv("EAHC_MAX_ORDER", "4")
         assert main(["encode", "-i", str(sample_file), "-o", str(out), "-n", "4"]) == 0
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_order_cap_named(self, tmp_path, sample_file, monkeypatch, raw):
+        monkeypatch.setenv("EAHC_MAX_ORDER", raw)
+        out = tmp_path / "out.eah"
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "-i", str(sample_file), "-o", str(out), "-n", "1"])
+        assert "EAHC_MAX_ORDER" in str(exc.value) and repr(raw) in str(exc.value)
+        assert not out.exists()
+
 
 class TestStats:
     def test_sample_row(self, sample_file, capsys):

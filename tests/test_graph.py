@@ -1,22 +1,7 @@
 import random
 
-import pytest
-
-from eahc.graph import (
-    Vertex,
-    assign_codewords,
-    build_graph,
-    degree_stats,
-    export_dot,
-    successors_sorted,
-)
+from eahc.graph import Vertex, assign_codewords, build_graph, export_dot
 from oracles import SAMPLE_200, reference_dot, scan_transition_counts
-
-
-def vertex(name):
-    if name.endswith("_aux"):
-        return Vertex(name[:-4].encode(), aux=True)
-    return Vertex(name.encode())
 
 
 def edge_set(g):
@@ -151,41 +136,6 @@ class TestBuildGraphGeneral:
                     if s == v
                 )
                 assert incoming + (word[0] == sym) == outgoing + (word[-1] == sym)
-
-
-class TestDegreeStats:
-    def test_busy_vertex(self):
-        g = build_graph(W9, 1)
-        assert degree_stats(g, vertex("b")) == (2, 2, 1, 1)
-
-    def test_aux_vertex(self):
-        g = build_graph(W9, 1)
-        assert degree_stats(g, vertex("c_aux")) == (1, 1, 0, 0)
-
-    def test_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            degree_stats(build_graph(b"ab", 3), vertex("a"))
-
-
-class TestSuccessorsSorted:
-    def test_single_successor(self):
-        g = build_graph(W9, 1)
-        edges = successors_sorted(g, vertex("a"))
-        assert [(s.name, d.name) for s, d in edges] == [("a", "b")]
-
-    def test_sink_context(self):
-        g = build_graph(b"ab", 1)
-        assert successors_sorted(g, vertex("b")) == ()
-
-    def test_aux_successor_sorts_last(self):
-        g = build_graph(SAMPLE_200, 1)
-        edges = successors_sorted(g, vertex("c"))
-        assert [d.name for _, d in edges] == ["a", "e", "c_aux"]
-
-    def test_base_successors_ascending(self):
-        g = build_graph(W9, 1)
-        edges = successors_sorted(g, vertex("b"))
-        assert [d.name for _, d in edges] == ["a", "c", "b_aux"]
 
 
 class TestAssignCodewords:
