@@ -3,7 +3,8 @@ transition graphs, and benchmark a corpus.
 
 The order is capped by the EAHC_MAX_ORDER environment variable (default
 3) because the context map costs m**n bits: a byte alphabet at order 3 is
-already a 2 MiB bitmap, and order 4 would be 512 MiB.
+already a 2 MiB bitmap, and order 4 would be 512 MiB.  A value that is
+not an integer >= 1 is an error.
 """
 
 from __future__ import annotations

@@ -89,7 +89,6 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
         g.vertices.update((src, dst))
         g.labels[(src, dst)] = EdgeLabel(frequency)
 
-    # the first window also starts a later position iff it occurs twice
     first = _context_index(g.alphabet, word[:n])
     for j, row in codec._successor_counts(word, n, g.alphabet).items():
         window = bytes(symbols[d] for d in b10(j, m, n))
@@ -102,7 +101,8 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
                 add_edge(aux, succ)
             else:
                 add_edge(context, succ, f)
-        # every window starting after position 0 is entered from its last symbol
+        # a window starting after position 0 is entered from its last
+        # symbol; the first window starts there, so it needs a second start
         if n >= 2 and (j != first or sum(row.values()) > 1):
             add_edge(Vertex(window[-1:]), context)
     return g
