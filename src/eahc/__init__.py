@@ -15,12 +15,9 @@ from .adaptive_code import (
     validate_prefix_condition,
 )
 from .baselines import (
-    BaselineReport,
-    huffman_report,
     huffman_stream_length,
     lz78_decode,
     lz78_encode,
-    lz78_report,
 )
 from .bitstream import EMPTY, BitReader, BitString, BitWriter, b10
 from .codec import (
@@ -60,12 +57,9 @@ __all__ = [
     "decode_with_table",
     "extend",
     "validate_prefix_condition",
-    "BaselineReport",
-    "huffman_report",
     "huffman_stream_length",
     "lz78_decode",
     "lz78_encode",
-    "lz78_report",
     "EMPTY",
     "BitReader",
     "BitString",

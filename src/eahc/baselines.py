@@ -9,19 +9,11 @@ frequencies, and the LZ78 size charges every phrase a fixed-width
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .adaptive_code import Alphabet
 from .bitstream import BitReader, BitString, BitWriter
 from .errors import CorruptStreamError
 from .huffman import huffman
-
-
-@dataclass(frozen=True)
-class BaselineReport:
-    codec: str
-    payload_bits: int
-    unit_count: int  # symbols for huffman, phrases for lz78
 
 
 def huffman_stream_length(word: bytes) -> int:
@@ -98,12 +90,3 @@ def lz78_decode(bits: BitString, phrase_count: int, alphabet: Alphabet) -> bytes
         entries.append(phrase)
         out += phrase
     return bytes(out)
-
-
-def huffman_report(word: bytes) -> BaselineReport:
-    return BaselineReport("huffman", huffman_stream_length(word), len(word))
-
-
-def lz78_report(word: bytes) -> BaselineReport:
-    bits, phrases = lz78_encode(word)
-    return BaselineReport("lz78", len(bits), phrases)

@@ -91,12 +91,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    blob = _read_file(args.input)
-    payload, header = codec.deserialize(blob)
-    data = codec.decode(payload, header)
-    if len(data) != header.length:
-        print("error: decoded length disagrees with the header", file=sys.stderr)
-        return 1
+    data = codec.decompress(_read_file(args.input))
     with open(args.output, "wb") as fh:
         fh.write(data)
     print(f"decoded {len(data)} bytes")

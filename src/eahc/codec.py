@@ -1,9 +1,24 @@
 """Order-n context-modeled Huffman codec and its container format.
 
-The encoder makes two passes: the first counts, for every length-n
-context window, how often each symbol follows it; the second builds a
-Huffman code per context over those counts and emits one codeword per
-input position.  Five bit components are produced:
+The context model is one dict, context index -> {successor symbol index
+-> count}, as `_successor_counts` reads it off the input: the windows of
+n symbols that occur, and how often each symbol follows each of them.
+It is the transition graph of the paper; `graph.build_graph` and
+`graph.assign_codewords` are views of the same dict and of
+`_successor_codes`, the Huffman code of one context.
+
+`_build_codes` derives every context's code from the model in one place,
+in the form each side keeps: the encoder maps a successor to its (value,
+length) codeword; the decoder looks codewords up in a table over the
+next L bits of the stream, L being the context's longest codeword, whose
+entry v holds the (symbol, length) of the codeword that prefixes v.  A
+context whose codewords exceed TABLE_BITS is walked bit by bit through a
+(value, length) dict instead, by `adaptive_code._walk_codeword`.  Every
+lone-successor context of a symbol shares one entry, and the builder also
+counts the codeword stream's length in bits.
+
+Format v1 codes the model as bitmaps and fixed-width counts, five bit
+components in all:
 
     prefix        the first min(h, n) symbol indices, verbatim
     context_map   one bit per possible context (m**n bits): occurs or not
@@ -13,23 +28,19 @@ input position.  Five bit components are produced:
 
 For order 1 a context followed by itself is recorded on the diagonal of
 successor_map (symbol index == context index), mirroring the aux-vertex
-routing of the transition graph.  The decoder rebuilds the identical
-codes from the bitmaps and counts alone; it never sees the input.
-`_successor_counts` and `_successor_codes` are the one context model:
-`graph.build_graph` and `graph.assign_codewords` read the transition
-graph and its codewords off them.
+routing of the transition graph.  `_write_model` is the v1 writer of the
+three model components and `_read_model` its one reader: it is the only
+code that scans the maps, and it reads each component through a
+`read(bit_count, component_name)` callable, so `deserialize` runs it over
+the container's bits and `decode` over the payload's own fields.  The
+decoder never sees the input.
 
-Each side keeps only the map it needs.  The encoder maps a context's
-successor to its (value, length) codeword.  The decoder turns each
-context's code into a lookup table over the next L bits of the stream,
-where L is the context's longest codeword: entry v holds the (symbol,
-length) of the codeword that prefixes v.  A context whose codewords
-exceed TABLE_BITS is walked bit by bit through a (value, length) dict
-instead, by `adaptive_code._walk_codeword`, and every lone-successor
-context of a symbol shares one two-entry table.  `deserialize` builds
-these tables once while it finds the stream's length and hands them to
-`decode` inside the payload, so a container's codes are rebuilt once
-per `decompress`.
+`deserialize` must build the decoder tables anyway, since the stream's
+length is only known from the codes; it hands them to `decode` inside
+the payload, so `decompress` builds them once.  Reading the model and
+building the tables is most of what decompressing costs on model-heavy
+input: 0.12 of 0.16 s on the benchmark's `random-bytes` workload and 0.96
+of 1.14 s on `many-small` (seed 1, one pass, 2-vCPU x86-64, CPython 3.11).
 
 Container wire format (all integers little-endian):
 
@@ -52,9 +63,10 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .adaptive_code import Alphabet, _walk_codeword
-from .bitstream import EMPTY, BitReader, BitString, BitWriter
+from .bitstream import BitReader, BitString, BitWriter
 from .errors import (
     CorruptHeaderError,
     CorruptStreamError,
@@ -126,14 +138,15 @@ def _index_table(alphabet: Alphabet) -> list[int]:
 def _successor_counts(
     word: bytes, order: int, alphabet: Alphabet
 ) -> dict[int, dict[int, int]]:
-    """Map context index -> {successor symbol index -> count}."""
+    """The context model of `word`: context index -> {successor symbol
+    index -> count}; empty when len(word) <= order."""
     idx = _index_table(alphabet)
     m = len(alphabet)
     n = order
     counts: dict[int, dict[int, int]] = {}
     j = 0
-    for t in range(n):
-        j = j * m + idx[word[t]]
+    for b in word[:n]:
+        j = j * m + idx[b]
     tail = m ** (n - 1)
     for p in range(len(word) - n):
         i = idx[word[p + n]]
@@ -145,25 +158,52 @@ def _successor_counts(
     return counts
 
 
-def _encode_maps(
-    order: int, counts: dict[int, dict[int, int]]
-) -> dict[int, dict[int, tuple[int, int]]]:
-    """Map context index -> {successor symbol index -> (value, length)}."""
-    maps: dict[int, dict[int, tuple[int, int]]] = {}
-    solo: dict[int, dict[int, tuple[int, int]]] = {}  # shared per lone successor
+def _encoder_entry(
+    codes: list[tuple[int, int, int, int]]
+) -> dict[int, tuple[int, int]]:
+    """{successor symbol index -> (value, length)}."""
+    return {i: (value, length) for i, _, value, length in codes}
+
+
+def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | dict]:
+    """(L, table) as described in the module docstring."""
+    longest = max(length for _, _, _, length in codes)
+    if longest > TABLE_BITS:
+        return longest, {(value, length): i for i, _, value, length in codes}
+    table: list = [None] * (1 << longest)
+    for i, _, value, length in codes:
+        span = 1 << (longest - length)
+        start = value * span
+        table[start : start + span] = [(i, length)] * span
+    return longest, table
+
+
+def _build_codes(
+    order: int, counts: dict[int, dict[int, int]], entry: Callable
+) -> tuple[dict, int]:
+    """Each context's code, made by `entry` from its `_successor_codes`.
+
+    Returns the entries by context index and the codeword stream's length
+    in bits.  Every lone-successor context of a symbol shares one entry.
+    """
+    codes = {}
+    solo = {}
+    stream_bits = 0
     for j, row in counts.items():
         if len(row) == 1:
             (i,) = row
+            f = row[i]
             code = solo.get(i)
             if code is None:
-                code = solo[i] = {i: (0, 1)}
-            maps[j] = code
+                # what _successor_codes gives a lone successor: codeword "0"
+                code = solo[i] = entry([(i, f, 0, 1)])
+            stream_bits += f
         else:
-            maps[j] = {
-                i: (value, length)
-                for i, _, value, length in _successor_codes(order, j, sorted(row.items()))
-            }
-    return maps
+            pairs = _successor_codes(order, j, sorted(row.items()))
+            code = entry(pairs)
+            stream_bits += sum(f * length for _, f, _, length in pairs)
+        codes[j] = code
+    return codes, stream_bits
 
 
 def _set_bit(buf: bytearray, pos: int) -> None:
@@ -189,6 +229,114 @@ def _scan_set_bits(bits: BitString) -> list[int]:
     return out
 
 
+def _write_model(
+    header: Header, counts: dict[int, dict[int, int]]
+) -> tuple[BitString, BitString, BitString, int]:
+    """The v1 writer: context_map, successor_map, freq_table and the
+    frequency field width."""
+    m = len(header.alphabet)
+    num_contexts = m**header.order
+    set_js = sorted(counts)
+    context_buf = bytearray((num_contexts + 7) // 8)
+    for j in set_js:
+        _set_bit(context_buf, j)
+    rank = {j: r for r, j in enumerate(set_js)}
+
+    s = len(set_js)
+    marked = sorted((i, j, f) for j, row in counts.items() for i, f in row.items())
+    succ_buf = bytearray((m * s + 7) // 8)
+    for i, j, _ in marked:
+        _set_bit(succ_buf, i * s + rank[j])
+
+    freq_width = max((f for _, _, f in marked), default=0).bit_length()
+    freq_table = BitWriter()
+    for _, _, f in marked:
+        freq_table.write_uint(f, freq_width)
+    return (
+        BitString(bytes(context_buf), num_contexts),
+        BitString(bytes(succ_buf), m * s),
+        freq_table.getvalue(),
+        freq_width,
+    )
+
+
+def _read_model(
+    header: Header, freq_width: int, read: Callable[[int, str], BitString]
+) -> dict[int, dict[int, int]]:
+    """The v1 reader: the context model from context_map, successor_map
+    and freq_table, each taken by `read(bit_count, component_name)`.
+
+    Raises CorruptHeaderError unless the components are exactly what
+    `_write_model` makes of some model of h - n positions.
+    """
+    m = len(header.alphabet)
+    n = header.order
+    set_js = _scan_set_bits(read(m**n, "context_map"))
+    s = len(set_js)
+    marked = _scan_set_bits(read(m * s, "successor_map"))
+    if (freq_width > 0) != bool(marked):
+        raise CorruptHeaderError(
+            f"frequency field width {freq_width} for {len(marked)} marked successors"
+        )
+    fields = read(freq_width * len(marked), "freq_table").to01()
+    freqs = (
+        [int(fields[k : k + freq_width], 2) for k in range(0, len(fields), freq_width)]
+        if marked
+        else []
+    )
+    if 0 in freqs:
+        raise CorruptHeaderError("marked successor with zero frequency")
+    widest = max(freqs, default=0).bit_length()
+    if widest != freq_width:
+        raise CorruptHeaderError(
+            f"frequency field width {freq_width}, expected {widest}"
+        )
+    if sum(freqs) != max(header.length - n, 0):
+        raise CorruptHeaderError(
+            f"frequencies sum to {sum(freqs)}, expected {max(header.length - n, 0)}"
+        )
+    # ascending positions are symbol-major, so each row fills in symbol order
+    rows: list[dict[int, int]] = [{} for _ in range(s)]
+    for pos, f in zip(marked, freqs):
+        rows[pos % s][pos // s] = f
+    if not all(rows):
+        j = set_js[rows.index({})]
+        raise CorruptHeaderError(f"context index {j} has no marked successor")
+    return dict(zip(set_js, rows))
+
+
+def _read_prefix(
+    header: Header, read: Callable[[int, str], BitString]
+) -> tuple[bytearray, int]:
+    """Recover the verbatim first symbols; returns their indices and the
+    context index."""
+    m = len(header.alphabet)
+    sym_width = (m - 1).bit_length()
+    count = min(header.length, header.order)
+    reader = BitReader(read(count * sym_width, "prefix"))
+    out = bytearray()
+    j = 0
+    for _ in range(count):
+        i = reader.read_uint(sym_width)
+        if i >= m:
+            raise CorruptHeaderError(f"symbol index {i} outside alphabet of size {m}")
+        out.append(i)
+        j = j * m + i
+    return out, j
+
+
+def _field_reader(payload: EahPayload) -> Callable[[int, str], BitString]:
+    """`read` over a payload's own fields, each length-checked."""
+
+    def read(count: int, name: str) -> BitString:
+        bits = getattr(payload, name)
+        if len(bits) != count:
+            raise CorruptHeaderError(f"{name} holds {len(bits)} bits, expected {count}")
+        return bits
+
+    return read
+
+
 def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     """Encode a byte string at the given order.
 
@@ -205,51 +353,19 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     n = order
     h = len(word)
     header = Header(n, alphabet, h)
-    sym_width = (m - 1).bit_length()
-
-    prefix = BitWriter()
-    idx = _index_table(alphabet)
-    for t in range(min(h, n)):
-        prefix.write_uint(idx[word[t]], sym_width)
-
-    num_contexts = m**n
-    context_buf = bytearray((num_contexts + 7) // 8)
-    if h <= n:
-        return (
-            EahPayload(
-                prefix.getvalue(),
-                BitString(bytes(context_buf), num_contexts),
-                EMPTY,
-                EMPTY,
-                EMPTY,
-                0,
-            ),
-            header,
-        )
-
     counts = _successor_counts(word, n, alphabet)
-    codes = _encode_maps(n, counts)
-    set_js = sorted(counts)
-    for j in set_js:
-        _set_bit(context_buf, j)
-    rank = {j: r for r, j in enumerate(set_js)}
+    context_map, successor_map, freq_table, freq_width = _write_model(header, counts)
+    codes, _ = _build_codes(n, counts, _encoder_entry)
 
-    marked = sorted(
-        (i, j, f) for j, row in counts.items() for i, f in row.items()
-    )
-    succ_buf = bytearray((m * len(set_js) + 7) // 8)
-    for i, j, _ in marked:
-        _set_bit(succ_buf, i * len(set_js) + rank[j])
-
-    freq_width = max(f for _, _, f in marked).bit_length()
-    freq_table = BitWriter()
-    for _, _, f in marked:
-        freq_table.write_uint(f, freq_width)
-
-    stream = BitWriter()
+    sym_width = (m - 1).bit_length()
+    idx = _index_table(alphabet)
+    prefix = BitWriter()
     j = 0
-    for t in range(n):
-        j = j * m + idx[word[t]]
+    for b in word[:n]:
+        i = idx[b]
+        prefix.write_uint(i, sym_width)
+        j = j * m + i
+    stream = BitWriter()
     tail = m ** (n - 1)
     for p in range(n, h):
         i = idx[word[p]]
@@ -259,123 +375,13 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
 
     payload = EahPayload(
         prefix.getvalue(),
-        BitString(bytes(context_buf), num_contexts),
-        BitString(bytes(succ_buf), m * len(set_js)),
-        freq_table.getvalue(),
+        context_map,
+        successor_map,
+        freq_table,
         stream.getvalue(),
         freq_width,
     )
     return payload, header
-
-
-def _codes_from_maps(
-    header: Header,
-    payload: EahPayload,
-    set_js: list[int] | None = None,
-    marked_positions: list[int] | None = None,
-) -> tuple[dict[int, tuple], int]:
-    """Rebuild every context's decoder table from the bitmaps and counts.
-
-    Returns the tables by context index, each (L, table) as described in
-    the module docstring, and the codeword stream's length in bits.
-    Callers that already scanned the bitmaps may pass the set-bit
-    positions to avoid a second pass.
-    """
-    m = len(header.alphabet)
-    n = header.order
-    h = header.length
-    if len(payload.context_map) != m**n:
-        raise CorruptHeaderError(
-            f"context map holds {len(payload.context_map)} bits, expected {m**n}"
-        )
-    if set_js is None:
-        set_js = _scan_set_bits(payload.context_map)
-    if h <= n:
-        if set_js:
-            raise CorruptHeaderError("context map set although the input fits the prefix")
-        return {}, 0
-    if not set_js:
-        raise CorruptHeaderError("no context is marked but symbols follow the prefix")
-    s = len(set_js)
-    if len(payload.successor_map) != m * s:
-        raise CorruptHeaderError(
-            f"successor map holds {len(payload.successor_map)} bits, expected {m * s}"
-        )
-    if marked_positions is None:
-        marked_positions = _scan_set_bits(payload.successor_map)
-    if not marked_positions:
-        raise CorruptHeaderError("no successor is marked")
-    width = payload.freq_width
-    if width < 1:
-        raise CorruptHeaderError("frequency field width must be positive")
-    if len(payload.freq_table) != width * len(marked_positions):
-        raise CorruptHeaderError(
-            f"frequency table holds {len(payload.freq_table)} bits, expected "
-            f"{width * len(marked_positions)}"
-        )
-
-    fields = payload.freq_table.to01()
-    freqs = [int(fields[k : k + width], 2) for k in range(0, len(fields), width)]
-    if min(freqs) < 1:
-        raise CorruptHeaderError("marked successor with zero frequency")
-    if sum(freqs) != h - n:
-        raise CorruptHeaderError(
-            f"frequencies sum to {sum(freqs)}, expected {h - n}"
-        )
-    # ascending positions are symbol-major, so each rank's list is ascending
-    by_rank: list[list[tuple[int, int]]] = [[] for _ in range(s)]
-    for pos, f in zip(marked_positions, freqs):
-        by_rank[pos % s].append((pos // s, f))
-
-    tables: dict[int, tuple] = {}
-    solo: dict[int, tuple] = {}  # shared per lone successor
-    stream_bits = 0
-    for j, pairs in zip(set_js, by_rank):
-        if not pairs:
-            continue  # decode reports the context if the stream reaches it
-        if len(pairs) == 1:
-            i, f = pairs[0]
-            entry = solo.get(i)
-            if entry is None:
-                entry = solo[i] = (1, [(i, 1), None])
-            tables[j] = entry
-            stream_bits += f
-            continue
-        codes = _successor_codes(n, j, pairs)
-        longest = max(length for _, _, _, length in codes)
-        stream_bits += sum(f * length for _, f, _, length in codes)
-        if longest <= TABLE_BITS:
-            table: list | dict = [None] * (1 << longest)
-            for i, _, value, length in codes:
-                span = 1 << (longest - length)
-                start = value * span
-                table[start : start + span] = [(i, length)] * span
-        else:
-            table = {(value, length): i for i, _, value, length in codes}
-        tables[j] = (longest, table)
-    return tables, stream_bits
-
-
-def _read_prefix(header: Header, prefix: BitString) -> tuple[bytearray, int]:
-    """Recover the verbatim first symbols; returns their indices and the
-    context index."""
-    m = len(header.alphabet)
-    sym_width = (m - 1).bit_length()
-    count = min(header.length, header.order)
-    if len(prefix) != count * sym_width:
-        raise CorruptHeaderError(
-            f"prefix holds {len(prefix)} bits, expected {count * sym_width}"
-        )
-    reader = BitReader(prefix)
-    out = bytearray()
-    j = 0
-    for _ in range(count):
-        i = reader.read_uint(sym_width)
-        if i >= m:
-            raise CorruptHeaderError(f"symbol index {i} outside alphabet of size {m}")
-        out.append(i)
-        j = j * m + i
-    return out, j
 
 
 def decode(payload: EahPayload, header: Header) -> bytes:
@@ -383,18 +389,17 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     m = len(header.alphabet)
     n = header.order
     h = header.length
-    out, j = _read_prefix(header, payload.prefix)
+    read = _field_reader(payload)
+    out, j = _read_prefix(header, read)
     cached = payload._tables
     if cached is not None and cached[0] is header:
         tables = cached[1]
     else:
-        tables, _ = _codes_from_maps(header, payload)
+        tables, _ = _build_codes(
+            n, _read_model(header, payload.freq_width, read), _decoder_entry
+        )
     symbols = header.alphabet.to_bytes()
     symbols += bytes(256 - len(symbols))  # translate table: index -> byte
-    if h <= n:
-        if len(payload.stream):
-            raise TrailingGarbageError("codeword stream present although unused")
-        return bytes(out).translate(symbols)
 
     nbits = len(payload.stream)
     # two zero bytes let every 3-byte peek at pos <= nbits read in full
@@ -459,9 +464,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
 
     The component boundaries are recovered from the bits themselves: the
     context map fixes the successor map's size, which fixes the frequency
-    table's, and the rebuilt code tables fix the stream's.  Those tables
-    travel with the payload, so `decode` of the same payload and header
-    does not build them again.
+    table's, and the codes built from the model fix the stream's.  Those
+    decoder tables travel with the payload, so `decode` of the same
+    payload and header does not build them again.
     """
     if len(blob) < 7:
         raise TruncationError("container shorter than its fixed header")
@@ -485,31 +490,24 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     header = Header(order, alphabet, h)
 
     reader = BitReader(blob[end:])
-    sym_width = (m - 1).bit_length()
-    try:
-        prefix = reader.read_bits(min(h, order) * sym_width)
-        context_map = reader.read_bits(m**order)
-        set_js = _scan_set_bits(context_map)
-        successor_map = reader.read_bits(m * len(set_js))
-        marked_positions = _scan_set_bits(successor_map)
-        freq_table = reader.read_bits(freq_width * len(marked_positions))
-    except TruncationError:
-        raise TruncationError("container truncated inside the payload") from None
+    components: dict[str, BitString] = {}
 
-    partial = EahPayload(
-        prefix, context_map, successor_map, freq_table, EMPTY, freq_width
+    def read(count: int, name: str) -> BitString:
+        try:
+            bits = components[name] = reader.read_bits(count)
+        except TruncationError:
+            raise TruncationError(f"container truncated inside the {name}") from None
+        return bits
+
+    _read_prefix(header, read)
+    tables, stream_bits = _build_codes(
+        order, _read_model(header, freq_width, read), _decoder_entry
     )
-    tables, stream_bits = _codes_from_maps(header, partial, set_js, marked_positions)
-    try:
-        stream = reader.read_bits(stream_bits)
-    except TruncationError:
-        raise TruncationError("container truncated inside the codeword stream") from None
+    read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):
         raise TrailingGarbageError("container continues past the payload")
 
-    payload = EahPayload(
-        prefix, context_map, successor_map, freq_table, stream, freq_width
-    )
+    payload = EahPayload(freq_width=freq_width, **components)
     object.__setattr__(payload, "_tables", (header, tables))
     return payload, header
 

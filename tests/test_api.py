@@ -5,7 +5,6 @@ import eahc
 PUBLIC = [
     "AdaptiveGraph",
     "Alphabet",
-    "BaselineReport",
     "BitReader",
     "BitString",
     "BitWriter",
@@ -34,12 +33,10 @@ PUBLIC = [
     "export_dot",
     "extend",
     "huffman",
-    "huffman_report",
     "huffman_stream_length",
     "leahn_length",
     "lz78_decode",
     "lz78_encode",
-    "lz78_report",
     "serialize",
     "validate_prefix_condition",
 ]

@@ -4,11 +4,9 @@ import pytest
 
 from eahc.adaptive_code import Alphabet
 from eahc.baselines import (
-    huffman_report,
     huffman_stream_length,
     lz78_decode,
     lz78_encode,
-    lz78_report,
 )
 from eahc.bitstream import BitString
 from eahc.errors import CorruptStreamError
@@ -42,14 +40,6 @@ class TestHuffmanStreamLength:
             word = bytes(rng.choice(symbols) for _ in range(rng.randint(1, 120)))
             counts = [word.count(bytes([s])) for s in sorted(set(word))]
             assert huffman_stream_length(word) == optimal_prefix_cost(counts)
-
-    def test_report(self):
-        report = huffman_report(SAMPLE_200)
-        assert (report.codec, report.payload_bits, report.unit_count) == (
-            "huffman",
-            462,
-            200,
-        )
 
 
 class TestLz78:
@@ -108,7 +98,3 @@ class TestLz78:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lz78_encode(b"")
-
-    def test_report(self):
-        report = lz78_report(b"abab")
-        assert (report.codec, report.payload_bits, report.unit_count) == ("lz78", 9, 3)

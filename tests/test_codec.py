@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -37,6 +38,14 @@ def _long_code_word() -> bytes:
     successors = [s for t, f in enumerate(fib) for s in [t + 1] * f]
     random.Random(44).shuffle(successors)
     return bytes(b for s in successors for b in (0, s))
+
+
+def _full_alphabet_word() -> bytes:
+    """1,500 seeded bytes in which all 256 byte values occur."""
+    rng = random.Random(47)
+    symbols = list(range(256)) + [rng.randrange(256) for _ in range(1500 - 256)]
+    rng.shuffle(symbols)
+    return bytes(symbols)
 
 
 LONG_CODE_WORD = _long_code_word()
@@ -111,6 +120,49 @@ class TestEncodeGoldens:
             assert compress(SAMPLE_200, 1) == blob
 
 
+class TestGoldenContainers:
+    """SHA-256 of whole containers: any change to the bytes `compress`
+    writes, in any component or header field, fails here."""
+
+    @pytest.mark.parametrize(
+        "word, order, digest",
+        [
+            (SAMPLE_200, 1, "c6646a643ae9504a06fe1e6111a0b5fdc154b360ba1fd05adc31d2e3f54eff94"),
+            (SAMPLE_200, 2, "4ee2a2bce05a54185cabc4d14a1391f6a10b54778df835a70404e8479e4b8672"),
+            (SAMPLE_200, 3, "2dbec616f3dd4905ae9689f02ea1d1c5a1bd63906713404cb43285028ab9bffe"),
+            (W9, 1, "cd4b51fce70972a28a399325945e1888040063ac64fce558f2e1227729c841e5"),
+            (LONG_CODE_WORD, 1, "95b47674040d427dea7538b0066126375b61cd6f5e4af004074c2ab4810d9aa4"),
+            (b"ab", 3, "83dc37cb2e87544ca41ddde243f6467776345ac7391f6a884cf5c0de25e14959"),
+            (b"aaaa", 1, "672090cc90fac01acc2b4ed7ce84c9535b5e4c0d65d646a440c187ebc75cfe77"),
+            (
+                random.Random(46).randbytes(4096),
+                2,
+                "59014ff3cefeb8dc0e85d5c5a5d494c483ee10e629881553f3ef17c757f7e015",
+            ),
+            (
+                _full_alphabet_word(),
+                3,
+                "88ce2fda26a3e8817fc2d7f5cb1f94a4314a93649b0793867315253281c44e2a",
+            ),
+        ],
+        ids=[
+            "sample200-1",
+            "sample200-2",
+            "sample200-3",
+            "w9-1",
+            "long-code-1",
+            "ab-3",
+            "aaaa-1",
+            "random-4k-2",
+            "full-alphabet-3",
+        ],
+    )
+    def test_container_digest(self, word, order, digest):
+        blob = compress(word, order)
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert decompress(blob) == word
+
+
 class TestDecode:
     def test_w9_round_trip(self):
         payload, header = encode(W9, 1)
@@ -128,6 +180,39 @@ class TestDecode:
         payload, header = encode(b"a", 1)
         assert leahn_length(b"a", 1) == 1  # the lone all-zero context map bit
         assert decode(payload, header) == b"a"
+
+    def test_short_input_components_checked(self):
+        payload, header = encode(b"ab", 3)
+        for name, value in [
+            ("successor_map", BitString.from_str("1")),
+            ("freq_table", BitString.from_str("101")),
+            ("freq_width", 7),
+        ]:
+            with pytest.raises(CorruptHeaderError):
+                decode(dataclasses.replace(payload, **{name: value}), header)
+
+    def test_wider_frequency_fields_rejected(self):
+        # consistent counts in fields one bit wider than the largest needs
+        payload, header = encode(W9, 1)
+        bits = payload.freq_table.to01()
+        w = payload.freq_width
+        wide = "".join("0" + bits[k : k + w] for k in range(0, len(bits), w))
+        replaced = dataclasses.replace(
+            payload, freq_table=BitString.from_str(wide), freq_width=w + 1
+        )
+        with pytest.raises(CorruptHeaderError):
+            decode(replaced, header)
+
+    def test_marked_context_without_successor_rejected(self):
+        payload, header = encode(SAMPLE_200, 2)
+        counts = codec._successor_counts(SAMPLE_200, 2, header.alphabet)
+        counts[next(j for j in range(len(payload.context_map)) if j not in counts)] = {}
+        context_map, successor_map, _, _ = codec._write_model(header, counts)
+        replaced = dataclasses.replace(
+            payload, context_map=context_map, successor_map=successor_map
+        )
+        with pytest.raises(CorruptHeaderError):
+            decode(replaced, header)
 
     def test_all_zero_context_map_rejected(self):
         payload, header = encode(W9, 1)
@@ -209,16 +294,24 @@ class TestDecodeTables:
                     decode(damaged, header)
 
     def test_decompress_builds_tables_once(self, monkeypatch):
+        blob = compress(SAMPLE_200, 2)
         calls = []
-        build = codec._codes_from_maps
+        for name in ("_read_model", "_build_codes", "_scan_set_bits"):
+            original = getattr(codec, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(codec, "_codes_from_maps", counted)
-        assert decompress(compress(SAMPLE_200, 2)) == SAMPLE_200
-        assert len(calls) == 1
+            monkeypatch.setattr(codec, name, counted)
+        assert decompress(blob) == SAMPLE_200
+        # one model read, scanning each map once, and one table build
+        assert sorted(calls) == [
+            "_build_codes",
+            "_read_model",
+            "_scan_set_bits",
+            "_scan_set_bits",
+        ]
 
     def test_replaced_payload_rebuilds_its_tables(self):
         payload, header = deserialize(compress(W9, 1))
@@ -276,6 +369,16 @@ class TestContainer:
         assert total % 8
         blob[-1] |= 1
         with pytest.raises(TrailingGarbageError):
+            deserialize(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "word, order, width", [(b"ab", 3, 5), (W9, 1, 0)], ids=["short-input", "zero"]
+    )
+    def test_width_byte_checked(self, word, order, width):
+        # the frequency field width is 0 exactly when no successor is marked
+        blob = bytearray(compress(word, order))
+        blob[7 + len(set(word)) + 8] = width
+        with pytest.raises(CorruptHeaderError):
             deserialize(bytes(blob))
 
     def test_corrupt_frequency_detected(self):
