@@ -13,7 +13,7 @@ from collections import Counter
 from .adaptive_code import Alphabet
 from .bitstream import BitReader, BitString, BitWriter
 from .errors import CorruptStreamError
-from .huffman import huffman
+from .huffman import code_pairs
 
 
 def huffman_stream_length(word: bytes) -> int:
@@ -26,8 +26,7 @@ def huffman_stream_length(word: bytes) -> int:
         raise ValueError("input must not be empty")
     counts = Counter(word)
     freqs = [counts[s] for s in sorted(counts)]
-    codes = huffman(freqs)
-    return sum(f * length for f, (_, length) in zip(freqs, codes))
+    return sum(f * length for f, (_, length) in zip(freqs, code_pairs(freqs)))
 
 
 def _widths(phrase_count: int, alphabet_size: int) -> tuple[int, int]:

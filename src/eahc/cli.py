@@ -1,10 +1,10 @@
 """Command-line interface: encode/decode files, compare codecs, export
 transition graphs, and benchmark a corpus.
 
-The order is capped by the EAHC_MAX_ORDER environment variable (default
-3) because the context map costs m**n bits: a byte alphabet at order 3 is
-already a 2 MiB bitmap, and order 4 would be 512 MiB.  A value that is
-not an integer >= 1 is an error.
+Inputs are checked by the library, not here.  The coders raise
+ValueError for an empty file and for a bad order, including one whose
+m**n possible contexts exceed `codec.MAX_CONTEXT_BITS`; `main` reports
+it as an error with exit status 1.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 from . import baselines, codec, graph
 from .errors import CodecError
-
-DEFAULT_MAX_ORDER = 3
 
 
 @dataclass
@@ -33,31 +31,6 @@ class BenchRow:
     @property
     def ratio(self) -> float:
         return self.leahn / (8 * self.h)
-
-
-def _max_order() -> int:
-    raw = os.environ.get("EAHC_MAX_ORDER", "")
-    if not raw:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise SystemExit(f"error: EAHC_MAX_ORDER must be an integer >= 1, got {raw!r}")
-    return cap
-
-
-def _check_orders(orders: list[int]) -> None:
-    cap = _max_order()
-    for n in orders:
-        if n < 1:
-            raise SystemExit(f"error: order must be >= 1, got {n}")
-        if n > cap:
-            raise SystemExit(
-                f"error: order {n} exceeds the cap {cap}; "
-                "raise EAHC_MAX_ORDER to override"
-            )
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -76,12 +49,7 @@ def _read_file(path: str) -> bytes:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    _check_orders([args.order])
-    data = _read_file(args.input)
-    if not data:
-        print("error: input file is empty", file=sys.stderr)
-        return 1
-    payload, header = codec.encode(data, args.order)
+    payload, header = codec.encode(_read_file(args.input), args.order)
     blob = codec.serialize(payload, header)
     with open(args.output, "wb") as fh:
         fh.write(blob)
@@ -123,11 +91,7 @@ def _write_csv(path: str, rows: list[BenchRow]) -> None:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders)
-    _check_orders(orders)
     data = _read_file(args.input)
-    if not data:
-        print("error: input file is empty", file=sys.stderr)
-        return 1
     rows = _bench_rows(os.path.basename(args.input), data, orders)
     print(f"{'file':<20} {'h':>8} {'n':>2} {'LEAHn':>10} {'LH':>10} {'LLZ':>10} {'ratio':>8}")
     for row in rows:
@@ -141,7 +105,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _check_orders([args.order])
     data = _read_file(args.input)
     g = graph.build_graph(data, args.order)
     graph.assign_codewords(g)
@@ -154,7 +117,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders)
-    _check_orders(orders)
     names = sorted(
         name
         for name in os.listdir(args.corpus)
@@ -163,12 +125,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[BenchRow] = []
     for name in names:
         data = _read_file(os.path.join(args.corpus, name))
-        if not data:
-            print(f"error: {name}: empty file", file=sys.stderr)
-            return 1
         try:
             rows.extend(_bench_rows(name, data, orders))
-        except CodecError as exc:
+        except (CodecError, ValueError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
     rows.sort(key=lambda r: (r.file, r.n))

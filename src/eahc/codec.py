@@ -54,8 +54,12 @@ Container wire format (all integers little-endian):
     [..] payload bits prefix|context_map|successor_map|freq_table|stream,
          packed MSB-first, final byte zero-padded
 
-Note the context map is m**n bits: keep the order small for large
-alphabets (the command-line tool caps it via EAHC_MAX_ORDER).
+The context map is m**n bits, the one part of a container that can grow
+far past its input.  `_successor_counts` refuses a model with more than
+MAX_CONTEXT_BITS possible contexts before it counts anything, so
+`encode`, `compress`, `leahn_length` and `graph.build_graph` share that
+budget.  `deserialize` needs none: `BitReader.read_bits` checks that the
+container holds a component's bits before it copies them.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .huffman import code_pairs
 MAGIC = b"EAH1"
 VERSION = 1
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
+MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 
 
 @dataclass(frozen=True)
@@ -139,10 +144,18 @@ def _successor_counts(
     word: bytes, order: int, alphabet: Alphabet
 ) -> dict[int, dict[int, int]]:
     """The context model of `word`: context index -> {successor symbol
-    index -> count}; empty when len(word) <= order."""
-    idx = _index_table(alphabet)
+    index -> count}; empty when len(word) <= order.
+
+    Raises ValueError when m**n exceeds MAX_CONTEXT_BITS.
+    """
     m = len(alphabet)
     n = order
+    if m**n > MAX_CONTEXT_BITS:
+        raise ValueError(
+            f"order {n} over {m} symbols spans {m}**{n} contexts, "
+            f"over the limit of {MAX_CONTEXT_BITS}"
+        )
+    idx = _index_table(alphabet)
     counts: dict[int, dict[int, int]] = {}
     j = 0
     for b in word[:n]:
@@ -178,6 +191,14 @@ def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | 
     return longest, table
 
 
+# the entry of a lone successor depends only on its symbol index (its
+# codeword is "0" whatever its count), so each is built once per process
+_LONE = {
+    entry: [entry([(i, 1, 0, 1)]) for i in range(256)]
+    for entry in (_encoder_entry, _decoder_entry)
+}
+
+
 def _build_codes(
     order: int, counts: dict[int, dict[int, int]], entry: Callable
 ) -> tuple[dict, int]:
@@ -187,16 +208,12 @@ def _build_codes(
     in bits.  Every lone-successor context of a symbol shares one entry.
     """
     codes = {}
-    solo = {}
+    lone = _LONE[entry]
     stream_bits = 0
     for j, row in counts.items():
         if len(row) == 1:
-            (i,) = row
-            f = row[i]
-            code = solo.get(i)
-            if code is None:
-                # what _successor_codes gives a lone successor: codeword "0"
-                code = solo[i] = entry([(i, f, 0, 1)])
+            ((i, f),) = row.items()
+            code = lone[i]
             stream_bits += f
         else:
             pairs = _successor_codes(order, j, sorted(row.items()))
@@ -341,10 +358,11 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     """Encode a byte string at the given order.
 
     The alphabet is the set of distinct bytes of `word` in ascending
-    value order.  Raises ValueError for empty input or order < 1.
+    value order.  Raises ValueError for empty input, for an order outside
+    1..255, or for one whose m**n contexts exceed MAX_CONTEXT_BITS.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= 255:  # the container stores it in one byte
+        raise ValueError(f"order must be between 1 and 255, got {order}")
     word = bytes(word)
     if not word:
         raise ValueError("cannot encode an empty string")
@@ -481,10 +499,10 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     end = 7 + m + 9
     if len(blob) < end:
         raise TruncationError("container truncated inside the header")
-    try:
-        alphabet = Alphabet(blob[7 : 7 + m])
-    except ValueError as exc:
-        raise CorruptHeaderError(str(exc)) from None
+    symbols = blob[7 : 7 + m]
+    if list(symbols) != sorted(set(symbols)):  # encode writes them ascending
+        raise CorruptHeaderError("alphabet bytes are not strictly ascending")
+    alphabet = Alphabet(symbols)
     (h,) = struct.unpack_from("<Q", blob, 7 + m)
     freq_width = blob[7 + m + 8]
     header = Header(order, alphabet, h)

@@ -73,7 +73,9 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     """Construct the order-n transition graph of `word`.
 
     Overlapping occurrences are counted at every position.  The alphabet
-    is the distinct bytes of `word` in ascending order.
+    is the distinct bytes of `word` in ascending order.  Raises ValueError
+    for an order below 1, or for one whose m**n contexts exceed
+    `codec.MAX_CONTEXT_BITS` when `word` is longer than the order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -58,22 +58,16 @@ class TestEncodeDecode:
         packed.write_bytes(packed.read_bytes()[:-2])
         assert main(["decode", "-i", str(packed), "-o", str(tmp_path / "out")]) != 0
 
-    def test_order_cap(self, tmp_path, sample_file, monkeypatch):
-        monkeypatch.delenv("EAHC_MAX_ORDER", raising=False)
+    def test_order_cap(self, tmp_path, sample_file, capsys):
+        # the m**n context budget bounds the order, whatever the alphabet
         out = tmp_path / "out.eah"
-        with pytest.raises(SystemExit):
-            main(["encode", "-i", str(sample_file), "-o", str(out), "-n", "4"])
-        monkeypatch.setenv("EAHC_MAX_ORDER", "4")
         assert main(["encode", "-i", str(sample_file), "-o", str(out), "-n", "4"]) == 0
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_order_cap_named(self, tmp_path, sample_file, monkeypatch, raw):
-        monkeypatch.setenv("EAHC_MAX_ORDER", raw)
-        out = tmp_path / "out.eah"
-        with pytest.raises(SystemExit) as exc:
-            main(["encode", "-i", str(sample_file), "-o", str(out), "-n", "1"])
-        assert "EAHC_MAX_ORDER" in str(exc.value) and repr(raw) in str(exc.value)
-        assert not out.exists()
+        wide = tmp_path / "wide.bin"
+        wide.write_bytes(bytes(range(17)) * 2)
+        over = tmp_path / "over.eah"
+        assert main(["encode", "-i", str(wide), "-o", str(over), "-n", "6"]) == 1
+        assert "16777216" in capsys.readouterr().err
+        assert not over.exists()
 
 
 class TestStats:

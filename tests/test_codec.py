@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from eahc.codec import (
     serialize,
 )
 from eahc.errors import (
+    CodecError,
     CorruptHeaderError,
     CorruptStreamError,
     TrailingGarbageError,
@@ -98,6 +100,11 @@ class TestEncodeGoldens:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             encode(b"ab", 0)
+
+    def test_order_must_fit_its_header_byte(self):
+        # one symbol spans 1**256 contexts, inside the budget
+        with pytest.raises(ValueError, match="255"):
+            encode(b"a", 256)
 
     def test_stream_length_matches_graph_cost(self):
         # the codec and the transition graph must price the stream equally
@@ -431,3 +438,68 @@ class TestRandomRoundTrips:
         for word in (b"a" * 100, b"ab" * 50, b"aab" * 30, bytes(range(256))):
             for n in (1, 2, 3):
                 assert decompress(compress(word, n)) == word
+
+
+class TestContextBudget:
+    def test_largest_map_encodes(self):
+        payload, _ = encode(bytes(range(256)), 3)
+        assert len(payload.context_map) == codec.MAX_CONTEXT_BITS == 256**3
+
+    def test_over_budget_refused_before_allocating(self):
+        word = bytes(range(17)) * 2  # 17**6 contexts: a 2.9 MiB map
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(codec.MAX_CONTEXT_BITS)):
+                encode(word, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match=str(codec.MAX_CONTEXT_BITS)):
+            build_graph(word, 6)
+
+    def test_small_alphabet_above_order_3(self):
+        payload, _ = encode(SAMPLE_200, 4)
+        assert len(payload.context_map) == 5**4
+        assert decompress(compress(SAMPLE_200, 4)) == SAMPLE_200
+
+
+class TestFuzz:
+    """Seeded truncations and single bit flips of small containers.
+
+    Format v1 has no checksum, so some mutants decode to wrong bytes; what
+    must hold is that nothing but a CodecError escapes, and that an
+    alphabet out of ascending order, which encode never writes, is caught.
+    """
+
+    def test_mutants_raise_only_codec_errors(self):
+        rng = random.Random(7)
+        words = [W9, SAMPLE_200, b"ab", bytes(rng.choices(b"stuvwxyz", k=300))]
+        scrambled = 0
+        for word in words:
+            for order in (1, 2, 3):
+                blob = compress(word, order)
+                for _ in range(400):
+                    if rng.random() < 0.25:
+                        mutant = blob[: rng.randrange(len(blob))]
+                    else:
+                        flipped = bytearray(blob)
+                        bit = rng.randrange(8 * len(blob))
+                        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+                        mutant = bytes(flipped)
+                    # a whole header: 7 bytes, the alphabet, h and the width
+                    m = mutant[6] + 1 if len(mutant) > 6 else 0
+                    symbols = list(mutant[7 : 7 + m])
+                    out_of_order = (
+                        len(mutant) >= 7 + m + 9 and symbols != sorted(set(symbols))
+                    )
+                    scrambled += out_of_order
+                    try:
+                        decoded = decompress(mutant)
+                    except CodecError as exc:
+                        if out_of_order:
+                            assert isinstance(exc, CorruptHeaderError)
+                    else:
+                        assert not out_of_order
+                        assert isinstance(decoded, bytes)
+        assert scrambled > 0
