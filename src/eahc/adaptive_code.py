@@ -82,8 +82,10 @@ class CodeTable:
     """Codewords per (symbol, context) for contexts up to length `order`.
 
     `contexts` maps each stored context (a bytes key; b"" is the empty
-    context) to a full symbol -> BitString map.  Tables are immutable
-    after construction and safe to share.
+    context) to a full symbol -> BitString map.  Each context's decoder,
+    its (value, length) -> symbol map and longest codeword length, is
+    built here too, so tables are immutable after construction and safe
+    to share.
     """
 
     def __init__(
@@ -97,6 +99,7 @@ class CodeTable:
         self.alphabet = alphabet
         self.order = order
         frozen: dict[bytes, dict[int, BitString]] = {}
+        decoders: dict[bytes, tuple[dict[tuple[int, int], int], int]] = {}
         for ctx, column in contexts.items():
             ctx = bytes(ctx)
             if len(ctx) > order:
@@ -110,8 +113,12 @@ class CodeTable:
             if any(len(code) == 0 for code in column.values()):
                 raise ValueError("codewords must be nonempty")
             frozen[ctx] = dict(column)
+            decoders[ctx] = (
+                {(code.uint(), len(code)): sym for sym, code in column.items()},
+                max(len(code) for code in column.values()),
+            )
         self._contexts = frozen
-        self._decode_maps: dict[bytes, tuple[dict[tuple[int, int], int], int]] = {}
+        self._decoders = decoders
 
     def context(self, ctx: bytes) -> dict[int, BitString]:
         return self._contexts[ctx]
@@ -121,15 +128,6 @@ class CodeTable:
 
     def contexts(self):
         return self._contexts.keys()
-
-    def _decoder(self, ctx: bytes) -> tuple[dict[tuple[int, int], int], int]:
-        cached = self._decode_maps.get(ctx)
-        if cached is None:
-            column = self._contexts[ctx]
-            table = {(code.uint(), len(code)): sym for sym, code in column.items()}
-            cached = (table, max(len(code) for code in column.values()))
-            self._decode_maps[ctx] = cached
-        return cached
 
 
 def _context_at(word: bytes, t: int, order: int) -> bytes:
@@ -218,7 +216,7 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
         ctx = bytes(out[max(0, len(out) - table.order) :])
         if ctx not in table:
             raise TableIncompleteError(f"no column for context {ctx!r}")
-        decoder, max_len = table._decoder(ctx)
+        decoder, max_len = table._decoders[ctx]
         sym, pos = _walk_codeword(decoder, max_len, data, pos, nbits, ctx)
         out.append(sym)
     if pos != nbits:

@@ -8,8 +8,6 @@ cursors.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import TruncationError
 
 
@@ -59,14 +57,6 @@ class BitString:
     def __len__(self) -> int:
         return self._nbits
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._nbits:
-            raise IndexError("bit index out of range")
-        return (self._data[i >> 3] >> (7 - (i & 7))) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(self._nbits))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
@@ -74,17 +64,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self._data, self._nbits))
-
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        w = BitWriter()
-        w.write_bits(self)
-        w.write_bits(other)
-        return w.getvalue()
-
-    def __bool__(self) -> bool:
-        return self._nbits > 0
 
     def __repr__(self) -> str:
         if self._nbits <= 64:
@@ -121,9 +100,6 @@ class BitWriter:
 
     def __len__(self) -> int:
         return len(self._buf) * 8 + self._accbits
-
-    def write_bit(self, bit: int) -> None:
-        self.write_uint(bit, 1)
 
     def write_uint(self, value: int, width: int) -> None:
         """Append the low `width` bits of a nonnegative integer."""
@@ -164,32 +140,17 @@ class BitWriter:
 class BitReader:
     """Sequential cursor over a BitString or raw bytes."""
 
-    def __init__(self, source: BitString | bytes, nbits: int | None = None):
+    def __init__(self, source: BitString | bytes):
         if isinstance(source, BitString):
             self._data = source.to_bytes()
             self._nbits = len(source)
         else:
             self._data = bytes(source)
             self._nbits = len(self._data) * 8
-        if nbits is not None:
-            if nbits > self._nbits:
-                raise ValueError("declared bit length exceeds the data")
-            self._nbits = nbits
         self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
 
     def remaining(self) -> int:
         return self._nbits - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= self._nbits:
-            raise TruncationError("read past end of bit stream")
-        bit = (self._data[self._pos >> 3] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
 
     def read_uint(self, width: int) -> int:
         """Read `width` bits as a big-endian unsigned integer."""

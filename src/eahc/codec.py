@@ -462,7 +462,16 @@ def leahn_length(word: bytes, order: int) -> int:
 
 
 def serialize(payload: EahPayload, header: Header) -> bytes:
-    """Pack a payload and header into the bit-exact container format."""
+    """Pack a payload and header into the bit-exact container format.
+
+    Raises ValueError for a header field the container cannot hold.
+    """
+    if not 1 <= header.order <= 255:
+        raise ValueError(f"order must be between 1 and 255, got {header.order}")
+    if not 0 <= header.length < 1 << 64:
+        raise ValueError(f"length must fit in 64 bits, got {header.length}")
+    if not 0 <= payload.freq_width <= 255:
+        raise ValueError(f"freq_width must be between 0 and 255, got {payload.freq_width}")
     alphabet = header.alphabet.to_bytes()
     out = bytearray()
     out += MAGIC

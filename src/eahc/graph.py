@@ -53,9 +53,6 @@ class AdaptiveGraph:
         self.vertices: set[Vertex] = set()
         self.labels: dict[Edge, EdgeLabel] = {}
 
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def transition_edges(self) -> list[Edge]:
         """Edges that carry a frequency: window->symbol plus, for order 1,
         the symbol->aux repeats.  Return and linking edges have frequency 0."""

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -150,6 +151,15 @@ class TestDecodeWithTable:
     def test_truncated_stream(self, table1):
         with pytest.raises(TruncationError):
             decode_with_table(table1, BitString.from_str("0"), 1)
+
+    def test_table_unchanged_by_use(self):
+        # the decoders are built at construction, so using a table never
+        # mutates it and one table can be shared
+        table = make_table()
+        built = copy.deepcopy(vars(table))
+        word = b"abaccbbca"
+        assert decode_with_table(table, extend(table, word), len(word)) == word
+        assert vars(table) == built
 
     def test_undecodable_bits(self):
         columns = {b"": {A: "00", B: "01", C: "10"}}  # "11" unused

@@ -379,6 +379,25 @@ class TestContainer:
             deserialize(bytes(blob))
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order", 0),
+            ("order", 256),
+            ("length", -1),
+            ("length", 1 << 64),
+            ("freq_width", 256),
+        ],
+    )
+    def test_serialize_rejects_unframeable_fields(self, field, value):
+        payload, header = encode(W9, 1)
+        if field == "freq_width":
+            payload = dataclasses.replace(payload, freq_width=value)
+        else:
+            header = dataclasses.replace(header, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            serialize(payload, header)
+
+    @pytest.mark.parametrize(
         "word, order, width", [(b"ab", 3, 5), (W9, 1, 0)], ids=["short-input", "zero"]
     )
     def test_width_byte_checked(self, word, order, width):
