@@ -19,7 +19,7 @@ from .baselines import (
     lz78_decode,
     lz78_encode,
 )
-from .bitstream import EMPTY, BitReader, BitString, BitWriter, b10
+from .bitstream import EMPTY, BitReader, BitString, BitWriter
 from .codec import (
     EahPayload,
     Header,
@@ -64,7 +64,6 @@ __all__ = [
     "BitReader",
     "BitString",
     "BitWriter",
-    "b10",
     "EahPayload",
     "Header",
     "compress",

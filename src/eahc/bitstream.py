@@ -1,4 +1,4 @@
-"""Bit-level strings, readers/writers, and fixed-width numeric conversions.
+"""Bit-level strings, readers and writers.
 
 Bits are packed most-significant-bit first within each byte; a final
 partial byte is zero-padded.  A finished BitString is immutable, so it can
@@ -72,22 +72,6 @@ class BitString:
 
 
 EMPTY = BitString(b"", 0)
-
-
-def b10(value: int, base: int, width: int) -> tuple[int, ...]:
-    """Fixed-width base-`base` digits of `value`, most significant first.
-
-    Leading zeros are retained so the result always has exactly `width`
-    digits; `value` must lie in [0, base**width - 1].
-    """
-    if base < 1 or width < 0:
-        raise ValueError("base must be >= 1 and width >= 0")
-    if not 0 <= value < base**width or (width == 0 and value != 0):
-        raise ValueError(f"{value} out of range for {width} base-{base} digits")
-    digits = [0] * width
-    for i in range(width - 1, -1, -1):
-        value, digits[i] = divmod(value, base)
-    return tuple(digits)
 
 
 class BitWriter:

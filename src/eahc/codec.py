@@ -3,9 +3,11 @@
 The context model is one dict, context index -> {successor symbol index
 -> count}, as `_successor_counts` reads it off the input: the windows of
 n symbols that occur, and how often each symbol follows each of them.
-It is the transition graph of the paper; `graph.build_graph` and
-`graph.assign_codewords` are views of the same dict and of
-`_successor_codes`, the Huffman code of one context.
+This module owns the context index, a window's symbol indices read as a
+base-m number (`_context_index`), and its inverse (`_window`).  The model
+is the transition graph of the paper; `graph.build_graph` and
+`graph.assign_codewords` are views of it and of `_successor_codes`, the
+Huffman code of one context, and ask this module for both numberings.
 
 `_build_codes` derives every context's code from the model in one place,
 in the form each side keeps: the encoder maps a successor to its (value,
@@ -67,7 +69,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .adaptive_code import Alphabet, _walk_codeword
 from .bitstream import BitReader, BitString, BitWriter
@@ -133,11 +135,24 @@ def _successor_codes(
     return [(i, f, value, length) for (i, f), (value, length) in zip(pairs, codes)]
 
 
-def _index_table(alphabet: Alphabet) -> list[int]:
-    table = [0] * 256
-    for i, s in enumerate(alphabet):
-        table[s] = i
-    return table
+def _index_table(alphabet: Alphabet) -> bytes:
+    """Byte -> symbol index, for indexing or `bytes.translate`."""
+    return bytes.maketrans(alphabet.to_bytes(), bytes(range(len(alphabet))))
+
+
+def _context_index(indices: Iterable[int], m: int) -> int:
+    """A window's symbol indices read as a base-m number, most significant
+    first.  The loops of `_successor_counts`, `encode` and `decode` roll it
+    forward inline, j = (j % m**(n-1)) * m + i, as each symbol enters."""
+    j = 0
+    for i in indices:
+        j = j * m + i
+    return j
+
+
+def _window(j: int, m: int, n: int) -> list[int]:
+    """The n symbol indices of context index j; inverts `_context_index`."""
+    return [j // m ** (n - 1 - k) % m for k in range(n)]
 
 
 def _successor_counts(
@@ -157,9 +172,7 @@ def _successor_counts(
         )
     idx = _index_table(alphabet)
     counts: dict[int, dict[int, int]] = {}
-    j = 0
-    for b in word[:n]:
-        j = j * m + idx[b]
+    j = _context_index(word[:n].translate(idx), m)
     tail = m ** (n - 1)
     for p in range(len(word) - n):
         i = idx[word[p + n]]
@@ -223,10 +236,6 @@ def _build_codes(
     return codes, stream_bits
 
 
-def _set_bit(buf: bytearray, pos: int) -> None:
-    buf[pos >> 3] |= 0x80 >> (pos & 7)
-
-
 _BIT_OFFSETS = [
     tuple(k for k in range(8) if byte & (0x80 >> k)) for byte in range(256)
 ]
@@ -246,45 +255,47 @@ def _scan_set_bits(bits: BitString) -> list[int]:
     return out
 
 
+def _bitmap(positions: Iterable[int], nbits: int) -> BitString:
+    """`nbits` bits, set at `positions`; inverts `_scan_set_bits`."""
+    buf = bytearray((nbits + 7) // 8)
+    for pos in positions:
+        buf[pos >> 3] |= 0x80 >> (pos & 7)
+    return BitString(bytes(buf), nbits)
+
+
 def _write_model(
     header: Header, counts: dict[int, dict[int, int]]
 ) -> tuple[BitString, BitString, BitString, int]:
     """The v1 writer: context_map, successor_map, freq_table and the
-    frequency field width."""
+    frequency field width, laid out as `_read_model` reads them."""
     m = len(header.alphabet)
-    num_contexts = m**header.order
     set_js = sorted(counts)
-    context_buf = bytearray((num_contexts + 7) // 8)
-    for j in set_js:
-        _set_bit(context_buf, j)
-    rank = {j: r for r, j in enumerate(set_js)}
-
     s = len(set_js)
-    marked = sorted((i, j, f) for j, row in counts.items() for i, f in row.items())
-    succ_buf = bytearray((m * s + 7) // 8)
-    for i, j, _ in marked:
-        _set_bit(succ_buf, i * s + rank[j])
-
-    freq_width = max((f for _, _, f in marked), default=0).bit_length()
+    # (successor_map position, count) of every marked pair, in map order
+    marked = sorted(
+        (i * s + r, f) for r, j in enumerate(set_js) for i, f in counts[j].items()
+    )
+    freq_width = max((f for _, f in marked), default=0).bit_length()
     freq_table = BitWriter()
-    for _, _, f in marked:
+    for _, f in marked:
         freq_table.write_uint(f, freq_width)
     return (
-        BitString(bytes(context_buf), num_contexts),
-        BitString(bytes(succ_buf), m * s),
+        _bitmap(set_js, m**header.order),
+        _bitmap((pos for pos, _ in marked), m * s),
         freq_table.getvalue(),
         freq_width,
     )
 
 
 def _read_model(
-    header: Header, freq_width: int, read: Callable[[int, str], BitString]
+    header: Header, freq_width: int, read: Callable[[int, str], BitString], head: bytes
 ) -> dict[int, dict[int, int]]:
     """The v1 reader: the context model from context_map, successor_map
     and freq_table, each taken by `read(bit_count, component_name)`.
 
     Raises CorruptHeaderError unless the components are exactly what
-    `_write_model` makes of some model of h - n positions.
+    `_write_model` makes of some model of h - n positions, and every
+    alphabet symbol is in `head` (prefix indices) or a marked successor.
     """
     m = len(header.alphabet)
     n = header.order
@@ -312,6 +323,9 @@ def _read_model(
         raise CorruptHeaderError(
             f"frequencies sum to {sum(freqs)}, expected {max(header.length - n, 0)}"
         )
+    unused = m - len({pos // s for pos in marked}.union(head))
+    if unused:
+        raise CorruptHeaderError(f"{unused} alphabet symbols never occur")
     # ascending positions are symbol-major, so each row fills in symbol order
     rows: list[dict[int, int]] = [{} for _ in range(s)]
     for pos, f in zip(marked, freqs):
@@ -322,24 +336,19 @@ def _read_model(
     return dict(zip(set_js, rows))
 
 
-def _read_prefix(
-    header: Header, read: Callable[[int, str], BitString]
-) -> tuple[bytearray, int]:
-    """Recover the verbatim first symbols; returns their indices and the
-    context index."""
+def _read_prefix(header: Header, read: Callable[[int, str], BitString]) -> bytearray:
+    """The symbol indices of the verbatim first symbols."""
     m = len(header.alphabet)
     sym_width = (m - 1).bit_length()
     count = min(header.length, header.order)
     reader = BitReader(read(count * sym_width, "prefix"))
     out = bytearray()
-    j = 0
     for _ in range(count):
         i = reader.read_uint(sym_width)
         if i >= m:
             raise CorruptHeaderError(f"symbol index {i} outside alphabet of size {m}")
         out.append(i)
-        j = j * m + i
-    return out, j
+    return out
 
 
 def _field_reader(payload: EahPayload) -> Callable[[int, str], BitString]:
@@ -377,12 +386,11 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
 
     sym_width = (m - 1).bit_length()
     idx = _index_table(alphabet)
+    head = word[:n].translate(idx)
     prefix = BitWriter()
-    j = 0
-    for b in word[:n]:
-        i = idx[b]
+    for i in head:
         prefix.write_uint(i, sym_width)
-        j = j * m + i
+    j = _context_index(head, m)
     stream = BitWriter()
     tail = m ** (n - 1)
     for p in range(n, h):
@@ -408,17 +416,17 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     n = header.order
     h = header.length
     read = _field_reader(payload)
-    out, j = _read_prefix(header, read)
+    out = _read_prefix(header, read)
     cached = payload._tables
     if cached is not None and cached[0] is header:
         tables = cached[1]
     else:
         tables, _ = _build_codes(
-            n, _read_model(header, payload.freq_width, read), _decoder_entry
+            n, _read_model(header, payload.freq_width, read, out), _decoder_entry
         )
-    symbols = header.alphabet.to_bytes()
-    symbols += bytes(256 - len(symbols))  # translate table: index -> byte
+    symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
+    j = _context_index(out, m)
     nbits = len(payload.stream)
     # two zero bytes let every 3-byte peek at pos <= nbits read in full
     data = payload.stream.to_bytes() + b"\x00\x00"
@@ -526,9 +534,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
             raise TruncationError(f"container truncated inside the {name}") from None
         return bits
 
-    _read_prefix(header, read)
+    head = _read_prefix(header, read)
     tables, stream_bits = _build_codes(
-        order, _read_model(header, freq_width, read), _decoder_entry
+        order, _read_model(header, freq_width, read, head), _decoder_entry
     )
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):

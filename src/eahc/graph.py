@@ -5,10 +5,11 @@ length-n windows of the string together with the symbols that follow
 them; a directed edge (context, symbol) carries the number of positions
 where that transition occurs, taken from `codec._successor_counts`, and
 its codeword comes from `codec._successor_codes`, the code the encoder
-emits for it.  For order 1, an immediate repeat of a symbol is routed
-through a companion aux vertex instead of a self-loop; the aux return
-edge and, for n >= 2, the symbol-to-window linking edges are structural
-only (frequency 0, empty codeword).
+emits for it; the codec's `_context_index` and `_window` give a window's
+index and an index's window.  For order 1, an immediate repeat of a
+symbol is routed through a companion aux vertex instead of a self-loop;
+the aux return edge and, for n >= 2, the symbol-to-window linking edges
+are structural only (frequency 0, empty codeword).
 
 A string no longer than n yields the empty graph.  Construction is
 single-owner; once codewords are assigned the graph is effectively
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .adaptive_code import Alphabet
-from .bitstream import EMPTY, BitString, b10
+from .bitstream import EMPTY, BitString
 
 Edge = tuple["Vertex", "Vertex"]
 
@@ -59,13 +60,6 @@ class AdaptiveGraph:
         return [e for e, label in self.labels.items() if label.frequency]
 
 
-def _context_index(alphabet: Alphabet, window: bytes) -> int:
-    j = 0
-    for s in window:
-        j = j * len(alphabet) + alphabet.index(s)
-    return j
-
-
 def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     """Construct the order-n transition graph of `word`.
 
@@ -88,9 +82,9 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
         g.vertices.update((src, dst))
         g.labels[(src, dst)] = EdgeLabel(frequency)
 
-    first = _context_index(g.alphabet, word[:n])
+    first = codec._context_index(map(g.alphabet.index, word[:n]), m)
     for j, row in codec._successor_counts(word, n, g.alphabet).items():
-        window = bytes(symbols[d] for d in b10(j, m, n))
+        window = bytes(symbols[i] for i in codec._window(j, m, n))
         context = Vertex(window)
         for i, f in row.items():
             succ = Vertex(symbols[i : i + 1])
@@ -118,7 +112,7 @@ def assign_codewords(g: AdaptiveGraph) -> None:
         by_context.setdefault(e[0], {})[g.alphabet.index(e[1].key[0])] = e
     for src, row in by_context.items():
         pairs = [(i, g.labels[row[i]].frequency) for i in sorted(row)]
-        j = _context_index(g.alphabet, src.key)
+        j = codec._context_index(map(g.alphabet.index, src.key), len(g.alphabet))
         for i, _, value, length in codec._successor_codes(g.order, j, pairs):
             g.labels[row[i]].codeword = BitString.from_int(value, length)
 

@@ -22,7 +22,6 @@ PUBLIC = [
     "Vertex",
     "__version__",
     "assign_codewords",
-    "b10",
     "build_graph",
     "compress",
     "decode",

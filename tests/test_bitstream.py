@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eahc.bitstream import EMPTY, BitReader, BitString, BitWriter, b10
+from eahc.bitstream import EMPTY, BitReader, BitString, BitWriter
 from eahc.errors import TruncationError
 
 
@@ -38,37 +38,6 @@ class TestBitString:
         assert BitString.from_str("101") == BitString.from_str("101")
         assert BitString.from_str("101") != BitString.from_str("1010")
         assert hash(BitString.from_str("101")) == hash(BitString.from_str("101"))
-
-
-class TestConversions:
-    @pytest.mark.parametrize(
-        "value,base,width,expected",
-        [
-            (7, 5, 2, (1, 2)),
-            (0, 5, 3, (0, 0, 0)),
-            (24, 5, 2, (4, 4)),
-            (7, 2, 3, (1, 1, 1)),
-        ],
-    )
-    def test_b10_examples(self, value, base, width, expected):
-        assert b10(value, base, width) == expected
-
-    def test_b10_positional_identity(self):
-        rng = random.Random(1)
-        for _ in range(300):
-            base = rng.randint(1, 9)
-            width = rng.randint(1, 6)
-            value = rng.randrange(base**width)
-            digits = b10(value, base, width)
-            assert len(digits) == width
-            assert all(0 <= d < base for d in digits)
-            assert sum(d * base ** (width - 1 - i) for i, d in enumerate(digits)) == value
-
-    def test_b10_range_error(self):
-        with pytest.raises(ValueError):
-            b10(25, 5, 2)
-        with pytest.raises(ValueError):
-            b10(-1, 5, 2)
 
 
 class TestReaderWriter:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from eahc import codec
+from eahc.adaptive_code import Alphabet
 from eahc.bitstream import EMPTY, BitString
 from eahc.codec import (
     EahPayload,
@@ -267,6 +268,35 @@ class TestDecode:
         bad_header = Header(header.order, header.alphabet, header.length + 1)
         with pytest.raises(CorruptHeaderError):
             decode(payload, bad_header)
+
+    def test_symbol_missing_from_empty_data_rejected(self):
+        # "a" framed with length 0: the alphabet holds a symbol no data uses
+        payload, header = encode(b"a", 1)
+        blob = serialize(payload, dataclasses.replace(header, length=0))
+        with pytest.raises(CorruptHeaderError):
+            decompress(blob)
+
+    def test_symbol_missing_from_prefix_and_successors_rejected(self):
+        # the prefix "ab" at order 3 (indices 0, 1 at width 2), framed with
+        # the alphabet "abc", whose "c" neither the prefix nor a successor uses
+        header = Header(3, Alphabet(b"abc"), 2)
+        payload = EahPayload(
+            BitString.from_str("0001"), BitString(bytes(4), 27), EMPTY, EMPTY, EMPTY, 0
+        )
+        with pytest.raises(CorruptHeaderError):
+            decode(payload, header)
+        with pytest.raises(CorruptHeaderError):
+            decompress(serialize(payload, header))
+
+
+class TestContextIndex:
+    def test_window_inverts_context_index(self):
+        cases = [(j, m, n) for m in range(1, 6) for n in range(1, 4) for j in range(m**n)]
+        cases += [(0, 256, 3), (256**3 - 1, 256, 3)]
+        for j, m, n in cases:
+            window = codec._window(j, m, n)
+            assert len(window) == n
+            assert codec._context_index(window, m) == j
 
 
 class TestDecodeTables:
