@@ -14,6 +14,7 @@ tables, so the package has one bit-by-bit walk.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bitstream import BitString, BitWriter
@@ -120,8 +121,9 @@ class CodeTable:
         self._contexts = frozen
         self._decoders = decoders
 
-    def context(self, ctx: bytes) -> dict[int, BitString]:
-        return self._contexts[ctx]
+    def context(self, ctx: bytes) -> Mapping[int, BitString]:
+        """A read-only view of one context's symbol -> codeword map."""
+        return MappingProxyType(self._contexts[ctx])
 
     def __contains__(self, ctx: bytes) -> bool:
         return ctx in self._contexts

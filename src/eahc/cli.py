@@ -178,8 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (CodecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,19 +30,19 @@ components in all:
 
 For order 1 a context followed by itself is recorded on the diagonal of
 successor_map (symbol index == context index), mirroring the aux-vertex
-routing of the transition graph.  `_write_model` is the v1 writer of the
-three model components and `_read_model` its one reader: it is the only
-code that scans the maps, and it reads each component through a
-`read(bit_count, component_name)` callable, so `deserialize` runs it over
-the container's bits and `decode` over the payload's own fields.  The
-decoder never sees the input.
+routing of the transition graph.  `_write_v1` writes the four components
+before the stream and `_read_v1` is their one reader, the only code that
+scans the maps.  It reads through a `read(bit_count, component_name)`
+callable, so `deserialize` runs it over the container's bits and `decode`
+over the payload's own fields.  The decoder never sees the input.
 
 `deserialize` must build the decoder tables anyway, since the stream's
-length is only known from the codes; it hands them to `decode` inside
-the payload, so `decompress` builds them once.  Reading the model and
-building the tables is most of what decompressing costs on model-heavy
-input: 0.12 of 0.16 s on the benchmark's `random-bytes` workload and 0.96
-of 1.14 s on `many-small` (seed 1, one pass, 2-vCPU x86-64, CPython 3.11).
+length is only known from the codes; it hands them and the prefix indices
+to `decode` inside the payload, so `decompress` reads each component and
+builds the tables once.  Reading the model and building the tables is
+most of what decompressing costs on model-heavy input: 0.12 of 0.16 s on
+the benchmark's `random-bytes` workload and 0.96 of 1.14 s on
+`many-small` (seed 1, one pass, 2-vCPU x86-64, CPython 3.11).
 
 Container wire format (all integers little-endian):
 
@@ -102,7 +102,7 @@ class EahPayload:
     freq_table: BitString
     stream: BitString
     freq_width: int  # bit width of each freq_table entry
-    # (header, decoder tables) attached by deserialize for decode to reuse
+    # (header, prefix indices, decoder tables) that deserialize read, for decode
     _tables: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def components(self) -> tuple[BitString, BitString, BitString, BitString, BitString]:
@@ -263,12 +263,14 @@ def _bitmap(positions: Iterable[int], nbits: int) -> BitString:
     return BitString(bytes(buf), nbits)
 
 
-def _write_model(
-    header: Header, counts: dict[int, dict[int, int]]
-) -> tuple[BitString, BitString, BitString, int]:
-    """The v1 writer: context_map, successor_map, freq_table and the
-    frequency field width, laid out as `_read_model` reads them."""
+def _write_v1(
+    header: Header, head: bytes, counts: dict[int, dict[int, int]]
+) -> tuple[BitString, BitString, BitString, BitString, int]:
+    """The v1 writer: the prefix of `head`'s symbol indices, context_map,
+    successor_map, freq_table and the frequency field width, laid out as
+    `_read_v1` reads them."""
     m = len(header.alphabet)
+    w = (m - 1).bit_length()
     set_js = sorted(counts)
     s = len(set_js)
     # (successor_map position, count) of every marked pair, in map order
@@ -280,6 +282,8 @@ def _write_model(
     for _, f in marked:
         freq_table.write_uint(f, freq_width)
     return (
+        # w-bit fields, most significant first: the indices as a base-2**w number
+        BitString.from_int(_context_index(head, 1 << w), len(head) * w),
         _bitmap(set_js, m**header.order),
         _bitmap((pos for pos, _ in marked), m * s),
         freq_table.getvalue(),
@@ -287,18 +291,23 @@ def _write_model(
     )
 
 
-def _read_model(
-    header: Header, freq_width: int, read: Callable[[int, str], BitString], head: bytes
-) -> dict[int, dict[int, int]]:
-    """The v1 reader: the context model from context_map, successor_map
-    and freq_table, each taken by `read(bit_count, component_name)`.
+def _read_v1(
+    header: Header, freq_width: int, read: Callable[[int, str], BitString]
+) -> tuple[bytes, dict[int, dict[int, int]]]:
+    """The v1 reader: the prefix's symbol indices and the context model,
+    each component taken by `read(bit_count, component_name)`.
 
     Raises CorruptHeaderError unless the components are exactly what
-    `_write_model` makes of some model of h - n positions, and every
-    alphabet symbol is in `head` (prefix indices) or a marked successor.
+    `_write_v1` makes of some input of h symbols, in which every alphabet
+    symbol occurs in the prefix or as a marked successor.
     """
     m = len(header.alphabet)
     n = header.order
+    w = (m - 1).bit_length()
+    count = min(header.length, n)
+    head = bytes(_window(read(count * w, "prefix").uint(), 1 << w, count))
+    if head and max(head) >= m:
+        raise CorruptHeaderError(f"symbol index {max(head)} outside alphabet of size {m}")
     set_js = _scan_set_bits(read(m**n, "context_map"))
     s = len(set_js)
     marked = _scan_set_bits(read(m * s, "successor_map"))
@@ -333,22 +342,7 @@ def _read_model(
     if not all(rows):
         j = set_js[rows.index({})]
         raise CorruptHeaderError(f"context index {j} has no marked successor")
-    return dict(zip(set_js, rows))
-
-
-def _read_prefix(header: Header, read: Callable[[int, str], BitString]) -> bytearray:
-    """The symbol indices of the verbatim first symbols."""
-    m = len(header.alphabet)
-    sym_width = (m - 1).bit_length()
-    count = min(header.length, header.order)
-    reader = BitReader(read(count * sym_width, "prefix"))
-    out = bytearray()
-    for _ in range(count):
-        i = reader.read_uint(sym_width)
-        if i >= m:
-            raise CorruptHeaderError(f"symbol index {i} outside alphabet of size {m}")
-        out.append(i)
-    return out
+    return head, dict(zip(set_js, rows))
 
 
 def _field_reader(payload: EahPayload) -> Callable[[int, str], BitString]:
@@ -381,15 +375,13 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     h = len(word)
     header = Header(n, alphabet, h)
     counts = _successor_counts(word, n, alphabet)
-    context_map, successor_map, freq_table, freq_width = _write_model(header, counts)
-    codes, _ = _build_codes(n, counts, _encoder_entry)
-
-    sym_width = (m - 1).bit_length()
     idx = _index_table(alphabet)
     head = word[:n].translate(idx)
-    prefix = BitWriter()
-    for i in head:
-        prefix.write_uint(i, sym_width)
+    prefix, context_map, successor_map, freq_table, freq_width = _write_v1(
+        header, head, counts
+    )
+    codes, _ = _build_codes(n, counts, _encoder_entry)
+
     j = _context_index(head, m)
     stream = BitWriter()
     tail = m ** (n - 1)
@@ -400,7 +392,7 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
         j = (j % tail) * m + i
 
     payload = EahPayload(
-        prefix.getvalue(),
+        prefix,
         context_map,
         successor_map,
         freq_table,
@@ -415,18 +407,17 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     m = len(header.alphabet)
     n = header.order
     h = header.length
-    read = _field_reader(payload)
-    out = _read_prefix(header, read)
     cached = payload._tables
     if cached is not None and cached[0] is header:
-        tables = cached[1]
+        _, head, tables = cached
     else:
-        tables, _ = _build_codes(
-            n, _read_model(header, payload.freq_width, read, out), _decoder_entry
-        )
+        head, model = _read_v1(header, payload.freq_width, _field_reader(payload))
+        tables, _ = _build_codes(n, model, _decoder_entry)
+        del model  # freed before the stream loop
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
-    j = _context_index(out, m)
+    out = bytearray(head)
+    j = _context_index(head, m)
     nbits = len(payload.stream)
     # two zero bytes let every 3-byte peek at pos <= nbits read in full
     data = payload.stream.to_bytes() + b"\x00\x00"
@@ -447,8 +438,6 @@ def decode(payload: EahPayload, header: Header) -> bytes:
                 & ((1 << longest) - 1)
             ]
             if entry is None:
-                if pos + longest > nbits:
-                    raise TruncationError("codeword stream ended early")
                 raise CorruptStreamError(f"undecodable codeword in context {j}")
             i, length = entry
             pos += length
@@ -499,9 +488,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
 
     The component boundaries are recovered from the bits themselves: the
     context map fixes the successor map's size, which fixes the frequency
-    table's, and the codes built from the model fix the stream's.  Those
-    decoder tables travel with the payload, so `decode` of the same
-    payload and header does not build them again.
+    table's, and the codes built from the model fix the stream's.  The
+    prefix indices and those decoder tables travel with the payload, so
+    `decode` of the same payload and header reads no component again.
     """
     if len(blob) < 7:
         raise TruncationError("container shorter than its fixed header")
@@ -534,16 +523,15 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
             raise TruncationError(f"container truncated inside the {name}") from None
         return bits
 
-    head = _read_prefix(header, read)
-    tables, stream_bits = _build_codes(
-        order, _read_model(header, freq_width, read, head), _decoder_entry
-    )
+    head, model = _read_v1(header, freq_width, read)
+    tables, stream_bits = _build_codes(order, model, _decoder_entry)
+    del model  # freed before the stream is copied
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):
         raise TrailingGarbageError("container continues past the payload")
 
     payload = EahPayload(freq_width=freq_width, **components)
-    object.__setattr__(payload, "_tables", (header, tables))
+    object.__setattr__(payload, "_tables", (header, head, tables))
     return payload, header
 
 

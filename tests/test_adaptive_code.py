@@ -161,6 +161,14 @@ class TestDecodeWithTable:
         assert decode_with_table(table, extend(table, word), len(word)) == word
         assert vars(table) == built
 
+    def test_context_is_read_only(self):
+        # a column written through context() would leave extend and the
+        # decoder built at construction disagreeing
+        table = make_table()
+        with pytest.raises(TypeError):
+            table.context(b"a")[B] = BitString.from_str("11")
+        assert extend(table, b"ab").to01() == "0010"
+
     def test_undecodable_bits(self):
         columns = {b"": {A: "00", B: "01", C: "10"}}  # "11" unused
         table = make_table(columns, order=1)

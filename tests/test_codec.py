@@ -32,11 +32,11 @@ from oracles import SAMPLE_200, assert_component_identities, reference_stream_de
 W9 = b"abccdbbab"
 
 
-def _long_code_word() -> bytes:
-    """An order-1 input whose context 0x00 has 14 successors with
-    Fibonacci counts, so its longest codeword is 13 bits."""
+def _long_code_word(k: int) -> bytes:
+    """An order-1 input whose context 0x00 has k successors with
+    Fibonacci counts, so its longest codeword is k - 1 bits."""
     fib = [1, 1]
-    while len(fib) < 14:
+    while len(fib) < k:
         fib.append(fib[-1] + fib[-2])
     successors = [s for t, f in enumerate(fib) for s in [t + 1] * f]
     random.Random(44).shuffle(successors)
@@ -51,7 +51,8 @@ def _full_alphabet_word() -> bytes:
     return bytes(symbols)
 
 
-LONG_CODE_WORD = _long_code_word()
+LONG_CODE_WORD = _long_code_word(14)
+TABLE_BITS_WORD = _long_code_word(13)
 REFERENCE_ERRORS = {
     "truncated": TruncationError,
     "corrupt": CorruptStreamError,
@@ -215,7 +216,7 @@ class TestDecode:
         payload, header = encode(SAMPLE_200, 2)
         counts = codec._successor_counts(SAMPLE_200, 2, header.alphabet)
         counts[next(j for j in range(len(payload.context_map)) if j not in counts)] = {}
-        context_map, successor_map, _, _ = codec._write_model(header, counts)
+        _, context_map, successor_map, _, _ = codec._write_v1(header, b"", counts)
         replaced = dataclasses.replace(
             payload, context_map=context_map, successor_map=successor_map
         )
@@ -302,15 +303,28 @@ class TestContextIndex:
 class TestDecodeTables:
     def test_long_codewords_use_the_bitwise_fallback(self):
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
-        longest, table = payload._tables[1][0]
+        longest, table = payload._tables[2][0]
         assert longest == 13 > codec.TABLE_BITS
         assert isinstance(table, dict)
         assert decode(payload, header) == LONG_CODE_WORD
 
+    def test_codewords_of_table_bits_use_a_table(self):
+        payload, header = deserialize(compress(TABLE_BITS_WORD, 1))
+        longest, table = payload._tables[2][0]
+        assert longest == codec.TABLE_BITS
+        assert isinstance(table, list)
+        assert decode(payload, header) == TABLE_BITS_WORD
+
     @pytest.mark.parametrize(
         "word, order",
-        [(SAMPLE_200, 1), (SAMPLE_200, 2), (LONG_CODE_WORD, 1), (W9 * 5, 2)],
-        ids=["sample200-1", "sample200-2", "long-code-1", "w9x5-2"],
+        [
+            (SAMPLE_200, 1),
+            (SAMPLE_200, 2),
+            (LONG_CODE_WORD, 1),
+            (TABLE_BITS_WORD, 1),
+            (W9 * 5, 2),
+        ],
+        ids=["sample200-1", "sample200-2", "long-code-1", "table-bits-1", "w9x5-2"],
     )
     def test_damaged_streams_match_bitwise_reference(self, word, order):
         payload, header = encode(word, order)
@@ -333,7 +347,7 @@ class TestDecodeTables:
     def test_decompress_builds_tables_once(self, monkeypatch):
         blob = compress(SAMPLE_200, 2)
         calls = []
-        for name in ("_read_model", "_build_codes", "_scan_set_bits"):
+        for name in ("_read_v1", "_build_codes", "_scan_set_bits", "_field_reader"):
             original = getattr(codec, name)
 
             def counted(*args, _name=name, _original=original):
@@ -342,13 +356,22 @@ class TestDecodeTables:
 
             monkeypatch.setattr(codec, name, counted)
         assert decompress(blob) == SAMPLE_200
-        # one model read, scanning each map once, and one table build
+        # one read of the prefix and the model, scanning each map once, one
+        # table build, and no field read again by decode
         assert sorted(calls) == [
             "_build_codes",
-            "_read_model",
+            "_read_v1",
             "_scan_set_bits",
             "_scan_set_bits",
         ]
+
+    def test_handoff_survives_repeated_decodes(self):
+        # decode copies the handed-off prefix indices, never appends to them
+        payload, header = deserialize(compress(SAMPLE_200, 2))
+        assert decode(payload, header) == SAMPLE_200
+        assert decode(payload, header) == SAMPLE_200
+        assert decode(payload, dataclasses.replace(header)) == SAMPLE_200
+        assert decode(payload, header) == SAMPLE_200
 
     def test_replaced_payload_rebuilds_its_tables(self):
         payload, header = deserialize(compress(W9, 1))
@@ -517,38 +540,46 @@ class TestFuzz:
     """Seeded truncations and single bit flips of small containers.
 
     Format v1 has no checksum, so some mutants decode to wrong bytes; what
-    must hold is that nothing but a CodecError escapes, and that an
-    alphabet out of ascending order, which encode never writes, is caught.
+    must hold is that nothing but a CodecError escapes, that an alphabet
+    out of ascending order, which encode never writes, is caught, and that
+    no mutant makes decompress trace more than 1 MiB at its peak.
     """
 
     def test_mutants_raise_only_codec_errors(self):
         rng = random.Random(7)
         words = [W9, SAMPLE_200, b"ab", bytes(rng.choices(b"stuvwxyz", k=300))]
         scrambled = 0
-        for word in words:
-            for order in (1, 2, 3):
-                blob = compress(word, order)
-                for _ in range(400):
-                    if rng.random() < 0.25:
-                        mutant = blob[: rng.randrange(len(blob))]
-                    else:
-                        flipped = bytearray(blob)
-                        bit = rng.randrange(8 * len(blob))
-                        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
-                        mutant = bytes(flipped)
-                    # a whole header: 7 bytes, the alphabet, h and the width
-                    m = mutant[6] + 1 if len(mutant) > 6 else 0
-                    symbols = list(mutant[7 : 7 + m])
-                    out_of_order = (
-                        len(mutant) >= 7 + m + 9 and symbols != sorted(set(symbols))
-                    )
-                    scrambled += out_of_order
-                    try:
-                        decoded = decompress(mutant)
-                    except CodecError as exc:
-                        if out_of_order:
-                            assert isinstance(exc, CorruptHeaderError)
-                    else:
-                        assert not out_of_order
-                        assert isinstance(decoded, bytes)
+        tracemalloc.start()
+        try:
+            for word in words:
+                for order in (1, 2, 3):
+                    blob = compress(word, order)
+                    for _ in range(400):
+                        if rng.random() < 0.25:
+                            mutant = blob[: rng.randrange(len(blob))]
+                        else:
+                            flipped = bytearray(blob)
+                            bit = rng.randrange(8 * len(blob))
+                            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+                            mutant = bytes(flipped)
+                        # a whole header: 7 bytes, the alphabet, h and the width
+                        m = mutant[6] + 1 if len(mutant) > 6 else 0
+                        symbols = list(mutant[7 : 7 + m])
+                        out_of_order = (
+                            len(mutant) >= 7 + m + 9 and symbols != sorted(set(symbols))
+                        )
+                        scrambled += out_of_order
+                        tracemalloc.reset_peak()
+                        try:
+                            decoded = decompress(mutant)
+                        except CodecError as exc:
+                            if out_of_order:
+                                assert isinstance(exc, CorruptHeaderError)
+                        else:
+                            assert not out_of_order
+                            assert isinstance(decoded, bytes)
+                        _, peak = tracemalloc.get_traced_memory()
+                        assert peak < 1 << 20
+        finally:
+            tracemalloc.stop()
         assert scrambled > 0
