@@ -9,15 +9,22 @@ is the transition graph of the paper; `graph.build_graph` and
 `graph.assign_codewords` are views of it and of `_successor_codes`, the
 Huffman code of one context, and ask this module for both numberings.
 
-`_build_codes` derives every context's code from the model in one place,
-in the form each side keeps: the encoder maps a successor to its (value,
-length) codeword; the decoder looks codewords up in a table over the
-next L bits of the stream, L being the context's longest codeword, whose
-entry v holds the (symbol, length) of the codeword that prefixes v.  A
-context whose codewords exceed TABLE_BITS is walked bit by bit through a
-(value, length) dict instead, by `adaptive_code._walk_codeword`.  Every
-lone-successor context of a symbol shares one entry, and the builder also
-counts the codeword stream's length in bits.
+Only the decoder keeps per-context tables.  `_build_codes` derives them
+from the model: each context's codewords are looked up in a table over
+the next L bits of the stream, L being the context's longest codeword,
+whose entry v holds the (symbol, length) of the codeword that prefixes
+v.  A context whose codewords exceed TABLE_BITS is walked bit by bit
+through a (value, length) dict instead, by `adaptive_code._walk_codeword`.
+Every lone-successor context of a symbol shares one entry, and the
+builder also counts the codeword stream's length in bits.
+
+The encoder runs no Python code per input symbol.  `_pair_keys` yields
+the key j*m + i (context index, successor index) of every position from
+a chain of C-level `map`s; `_successor_counts` counts those keys with a
+`Counter`, and `encode` maps them through one flat dict, key -> codeword
+as '0'/'1' text, built from `_successor_codes` (a lone successor's
+codeword is "0", with no Huffman call).  It joins the codewords in
+bounded chunks of _CHUNK and turns each chunk into bits at once.
 
 Format v1 codes the model as bitmaps and fixed-width counts, five bit
 components in all:
@@ -68,8 +75,11 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import islice, repeat
+from operator import add, mul
+from typing import Callable, Iterable, Iterator
 
 from .adaptive_code import Alphabet, _walk_codeword
 from .bitstream import BitReader, BitString, BitWriter
@@ -85,6 +95,7 @@ MAGIC = b"EAH1"
 VERSION = 1
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
+_CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
 
 @dataclass(frozen=True)
@@ -142,8 +153,8 @@ def _index_table(alphabet: Alphabet) -> bytes:
 
 def _context_index(indices: Iterable[int], m: int) -> int:
     """A window's symbol indices read as a base-m number, most significant
-    first.  The loops of `_successor_counts`, `encode` and `decode` roll it
-    forward inline, j = (j % m**(n-1)) * m + i, as each symbol enters."""
+    first.  `decode` rolls it forward inline, j = (j % m**(n-1)) * m + i,
+    as each symbol enters; `_pair_keys` reads it off whole windows."""
     j = 0
     for i in indices:
         j = j * m + i
@@ -153,6 +164,39 @@ def _context_index(indices: Iterable[int], m: int) -> int:
 def _window(j: int, m: int, n: int) -> list[int]:
     """The n symbol indices of context index j; inverts `_context_index`."""
     return [j // m ** (n - 1 - k) % m for k in range(n)]
+
+
+def _pair_keys(t: bytes, m: int, n: int) -> Iterator[int]:
+    """j*m + i at every position of `t`, the input's symbol indices, that
+    has n symbols after it: j is the context index of the n-symbol window
+    there and i the index of the symbol after it, so the key is that
+    window of n + 1 read as a base-m number.
+
+    No Python code runs per symbol: the keys come out of a chain of
+    C-level `map`s.  Runs of w digits are first packed into bytes,
+    P_2w[p] = P_w[p] * m**w + P_w[p + w], while m**(2w) <= 256; the chain
+    then adds the runs of the binary decomposition of n + 1, so it stays
+    a few levels deep at every order the budget allows.
+    """
+    width = n + 1
+    widest = 1
+    while 2 * widest <= width and m ** (2 * widest) <= 256:
+        widest *= 2
+    # widths of packed runs that sum to width, widest first
+    runs = [widest] * (width // widest)
+    runs += [w for w in (widest >> k for k in range(1, widest.bit_length())) if width & w]
+    packed = {1: t}
+    w = 1
+    while w < widest:
+        p = packed[w] if w in runs else packed.pop(w)
+        packed[2 * w] = bytes(map(add, map(mul, p, repeat(m**w)), memoryview(p)[w:]))
+        w *= 2
+    keys: Iterator[int] = iter(packed[widest])
+    offset = widest
+    for w in runs[1:]:
+        keys = map(add, map(mul, keys, repeat(m**w)), memoryview(packed[w])[offset:])
+        offset += w
+    return keys
 
 
 def _successor_counts(
@@ -170,25 +214,12 @@ def _successor_counts(
             f"order {n} over {m} symbols spans {m}**{n} contexts, "
             f"over the limit of {MAX_CONTEXT_BITS}"
         )
-    idx = _index_table(alphabet)
     counts: dict[int, dict[int, int]] = {}
-    j = _context_index(word[:n].translate(idx), m)
-    tail = m ** (n - 1)
-    for p in range(len(word) - n):
-        i = idx[word[p + n]]
-        row = counts.get(j)
-        if row is None:
-            row = counts[j] = {}
-        row[i] = row.get(i, 0) + 1
-        j = (j % tail) * m + i
+    keys = _pair_keys(word.translate(_index_table(alphabet)), m, n)
+    for key, f in Counter(keys).items():
+        j, i = divmod(key, m)
+        counts.setdefault(j, {})[i] = f
     return counts
-
-
-def _encoder_entry(
-    codes: list[tuple[int, int, int, int]]
-) -> dict[int, tuple[int, int]]:
-    """{successor symbol index -> (value, length)}."""
-    return {i: (value, length) for i, _, value, length in codes}
 
 
 def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | dict]:
@@ -206,31 +237,26 @@ def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | 
 
 # the entry of a lone successor depends only on its symbol index (its
 # codeword is "0" whatever its count), so each is built once per process
-_LONE = {
-    entry: [entry([(i, 1, 0, 1)]) for i in range(256)]
-    for entry in (_encoder_entry, _decoder_entry)
-}
+_LONE = [_decoder_entry([(i, 1, 0, 1)]) for i in range(256)]
 
 
-def _build_codes(
-    order: int, counts: dict[int, dict[int, int]], entry: Callable
-) -> tuple[dict, int]:
-    """Each context's code, made by `entry` from its `_successor_codes`.
+def _build_codes(order: int, counts: dict[int, dict[int, int]]) -> tuple[dict, int]:
+    """Each context's decoder entry, made by `_decoder_entry` from its
+    `_successor_codes`.
 
     Returns the entries by context index and the codeword stream's length
     in bits.  Every lone-successor context of a symbol shares one entry.
     """
     codes = {}
-    lone = _LONE[entry]
     stream_bits = 0
     for j, row in counts.items():
         if len(row) == 1:
             ((i, f),) = row.items()
-            code = lone[i]
+            code = _LONE[i]
             stream_bits += f
         else:
             pairs = _successor_codes(order, j, sorted(row.items()))
-            code = entry(pairs)
+            code = _decoder_entry(pairs)
             stream_bits += sum(f * length for _, f, _, length in pairs)
         codes[j] = code
     return codes, stream_bits
@@ -376,20 +402,29 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     header = Header(n, alphabet, h)
     counts = _successor_counts(word, n, alphabet)
     idx = _index_table(alphabet)
-    head = word[:n].translate(idx)
     prefix, context_map, successor_map, freq_table, freq_width = _write_v1(
-        header, head, counts
+        header, word[:n].translate(idx), counts
     )
-    codes, _ = _build_codes(n, counts, _encoder_entry)
 
-    j = _context_index(head, m)
+    # one flat map j*m + i -> codeword as '0'/'1' text, each text shared
+    # by every pair with the same (value, length)
+    codewords: dict[int, str] = {}
+    texts: dict[tuple[int, int], str] = {}
+    for j, row in counts.items():
+        if len(row) == 1:
+            codewords[j * m + next(iter(row))] = "0"
+            continue
+        for i, _, value, length in _successor_codes(n, j, sorted(row.items())):
+            text = texts.get((value, length))
+            if text is None:
+                text = texts[value, length] = format(value, f"0{length}b")
+            codewords[j * m + i] = text
+    del counts  # freed before the stream is emitted
+
+    words = map(codewords.__getitem__, _pair_keys(word.translate(idx), m, n))
     stream = BitWriter()
-    tail = m ** (n - 1)
-    for p in range(n, h):
-        i = idx[word[p]]
-        value, width = codes[j][i]
-        stream.write_uint(value, width)
-        j = (j % tail) * m + i
+    while chunk := "".join(islice(words, _CHUNK)):
+        stream.write_uint(int(chunk, 2), len(chunk))
 
     payload = EahPayload(
         prefix,
@@ -412,7 +447,7 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         _, head, tables = cached
     else:
         head, model = _read_v1(header, payload.freq_width, _field_reader(payload))
-        tables, _ = _build_codes(n, model, _decoder_entry)
+        tables, _ = _build_codes(n, model)
         del model  # freed before the stream loop
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
@@ -524,7 +559,7 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
         return bits
 
     head, model = _read_v1(header, freq_width, read)
-    tables, stream_bits = _build_codes(order, model, _decoder_entry)
+    tables, stream_bits = _build_codes(order, model)
     del model  # freed before the stream is copied
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):

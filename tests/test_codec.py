@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from eahc import codec
 from eahc.adaptive_code import Alphabet
-from eahc.bitstream import EMPTY, BitString
+from eahc.bitstream import EMPTY, BitString, BitWriter
 from eahc.codec import (
     EahPayload,
     Header,
@@ -27,7 +28,12 @@ from eahc.errors import (
     TruncationError,
 )
 from eahc.graph import assign_codewords, build_graph
-from oracles import SAMPLE_200, assert_component_identities, reference_stream_decode
+from oracles import (
+    SAMPLE_200,
+    assert_component_identities,
+    reference_stream_decode,
+    scan_transition_counts,
+)
 
 W9 = b"abccdbbab"
 
@@ -288,6 +294,133 @@ class TestDecode:
             decode(payload, header)
         with pytest.raises(CorruptHeaderError):
             decompress(serialize(payload, header))
+
+
+def _key_cases(m: int) -> list[tuple[bytes, int]]:
+    """(word, order) pairs over m symbols: a seeded 300-symbol word in
+    which all m occur, at every order its m**n budget allows, and words
+    no longer than their order, whose model and stream are empty."""
+    rng = random.Random(48 + m)
+    symbols = rng.sample(range(256), m)
+    seq = symbols + rng.choices(symbols, k=300 - m)
+    rng.shuffle(seq)
+    word = bytes(seq)
+    orders = [n for n in range(1, 256) if m**n <= codec.MAX_CONTEXT_BITS]
+    short = [(word[:n], n) for n in (1, 2, orders[-1]) if n in orders]
+    short += [(word[: n - 1], n) for n in (2, orders[-1]) if n in orders]
+    return [(word, n) for n in orders] + short
+
+
+def _scanned_model(word: bytes, order: int) -> dict[int, dict[int, int]]:
+    """`scan_transition_counts` re-keyed to context index -> {successor
+    index -> count}."""
+    index = {b: k for k, b in enumerate(sorted(set(word)))}
+    model: dict[int, dict[int, int]] = {}
+    for (window, successor, _), f in scan_transition_counts(word, order).items():
+        j = 0
+        for b in window:
+            j = j * len(index) + index[b]
+        model.setdefault(j, {})[index[successor]] = f
+    return model
+
+
+def _write_uint_stream(word: bytes, order: int) -> BitString:
+    """The stream as one `BitWriter.write_uint` per symbol writes it, with
+    each context's codes taken from the position-scan model."""
+    m = len(set(word))
+    index = {b: k for k, b in enumerate(sorted(set(word)))}
+    codes = {
+        j: {i: (value, length) for i, _, value, length in codec._successor_codes(
+            order, j, sorted(row.items())
+        )}
+        for j, row in _scanned_model(word, order).items()
+    }
+    out = BitWriter()
+    j = 0
+    for b in word[:order]:
+        j = j * m + index[b]
+    for b in word[order:]:
+        i = index[b]
+        out.write_uint(*codes[j][i])
+        j = (j % m ** (order - 1)) * m + i
+    return out.getvalue()
+
+
+KEY_ALPHABET_SIZES = [1, 2, 3, 4, 15, 16, 17, 64, 256]
+
+
+class TestCompressPath:
+    """The keys `_pair_keys` chains at C speed, packed while m**(2w) <=
+    256, against position scans at every order around those widths."""
+
+    @pytest.mark.parametrize("m", KEY_ALPHABET_SIZES)
+    def test_counts_match_position_scan(self, m):
+        for word, n in _key_cases(m):
+            counts = codec._successor_counts(word, n, Alphabet.from_bytes(word))
+            assert counts == _scanned_model(word, n), (m, n, len(word))
+            assert bool(counts) == (len(word) > n)
+
+    @pytest.mark.parametrize("m", KEY_ALPHABET_SIZES)
+    def test_stream_matches_write_uint_loop(self, m):
+        for word, n in _key_cases(m):
+            payload, header = encode(word, n)
+            assert payload.stream == _write_uint_stream(word, n), (m, n, len(word))
+            if len(word) <= n:
+                assert payload.stream == EMPTY
+            if m**n <= 1 << 16:  # the reference scans the context map bit by bit
+                assert reference_stream_decode(payload, header) == word
+
+    def test_stream_longer_than_a_chunk(self):
+        rng = random.Random(49)
+        word = bytes(rng.choices(b"xyz", weights=(5, 3, 1), k=3 * codec._CHUNK))
+        for n in (1, 2):
+            payload, header = encode(word, n)
+            assert len(word) - n > 2 * codec._CHUNK
+            assert len(payload.stream) % 8
+            assert payload.stream == _write_uint_stream(word, n)
+            assert reference_stream_decode(payload, header) == word
+
+    def test_compress_counts_once_and_builds_no_tables(self, monkeypatch):
+        calls = []
+        for name in ("_successor_counts", "_build_codes"):
+            original = getattr(codec, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(codec, name, counted)
+        blob = compress(SAMPLE_200, 2)
+        assert calls == ["_successor_counts"]
+        assert decompress(blob) == SAMPLE_200
+
+    def test_key_chain_depth_does_not_grow_with_order(self):
+        # an unpacked chain is two maps per digit: 512 at (1, 255)
+        for m in range(1, 257):
+            t = bytes(k % m for k in range(300))
+            for n in range(1, 256):
+                if m**n > codec.MAX_CONTEXT_BITS:
+                    break
+                maps, stack = 0, [codec._pair_keys(t, m, n)]
+                while stack:
+                    obj = stack.pop()
+                    if isinstance(obj, (map, tuple)):
+                        maps += isinstance(obj, map)
+                        stack.extend(gc.get_referents(obj))
+                assert maps <= 14, (m, n, maps)  # 8 runs: n + 1 <= 256
+
+    def test_high_order_key_chain_stays_small(self):
+        # 256 digits per key: an unpacked chain of 256 map levels holds
+        # tens of MiB of slices here
+        word = b"a" * 100_000
+        tracemalloc.start()
+        try:
+            blob = compress(word, 255)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert decompress(blob) == word
 
 
 class TestContextIndex:
