@@ -327,14 +327,12 @@ def _scanned_model(word: bytes, order: int) -> dict[int, dict[int, int]]:
 def _write_uint_stream(word: bytes, order: int) -> BitString:
     """The stream as one `BitWriter.write_uint` per symbol writes it, with
     each context's codes taken from the position-scan model."""
-    m = len(set(word))
     index = {b: k for k, b in enumerate(sorted(set(word)))}
-    codes = {
-        j: {i: (value, length) for i, _, value, length in codec._successor_codes(
-            order, j, sorted(row.items())
-        )}
-        for j, row in _scanned_model(word, order).items()
-    }
+    m = len(index)
+    codes = {}
+    for j, row in _scanned_model(word, order).items():
+        pairs = codec._successor_codes(order, j, sorted(row.items()))
+        codes[j] = {i: (value, length) for i, _, value, length in pairs}
     out = BitWriter()
     j = 0
     for b in word[:order]:
