@@ -30,7 +30,7 @@ class BitString:
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """Pack the low `width` bits of a nonnegative integer, MSB first."""
-        if value < 0 or (width >= 0 and value >> width):
+        if width < 0 or value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
         pad = -width % 8
         return cls((value << pad).to_bytes((width + 7) // 8, "big"), width)
@@ -106,7 +106,7 @@ class BitWriter:
             # byte-aligned fast path: splice whole bytes, finish with the tail
             full = n >> 3
             data = bits.to_bytes()
-            self._buf += data[:full]
+            self._buf += memoryview(data)[:full]
             rem = n & 7
             if rem:
                 self.write_uint(data[full] >> (8 - rem), rem)
@@ -114,11 +114,9 @@ class BitWriter:
             self.write_uint(bits.uint(), n)
 
     def getvalue(self) -> BitString:
-        """Snapshot of everything written so far."""
-        data = bytes(self._buf)
-        if self._accbits:
-            data += bytes([(self._acc << (8 - self._accbits)) & 0xFF])
-        return BitString(data, len(self))
+        """Snapshot of everything written so far, the buffer copied once."""
+        tail = bytes([self._acc << (8 - self._accbits)] if self._accbits else [])
+        return BitString(b"".join((self._buf, tail)), len(self))
 
 
 class BitReader:

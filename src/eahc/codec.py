@@ -47,9 +47,9 @@ over the payload's own fields.  The decoder never sees the input.
 length is only known from the codes; it hands them and the prefix indices
 to `decode` inside the payload, so `decompress` reads each component and
 builds the tables once.  Reading the model and building the tables is
-most of what decompressing costs on model-heavy input: 0.12 of 0.16 s on
-the benchmark's `random-bytes` workload and 0.96 of 1.14 s on
-`many-small` (seed 1, one pass, 2-vCPU x86-64, CPython 3.11).
+most of what decompressing costs on model-heavy input: 0.28 of 0.37 s of
+CPU on the benchmark's `random-bytes` workload and 2.24 of 2.75 s on
+`many-small` (seed 1, median of 5 passes, 2-vCPU x86-64, CPython 3.11).
 
 Container wire format (all integers little-endian):
 
@@ -62,6 +62,10 @@ Container wire format (all integers little-endian):
     [1B] freq_table field width (0 when h <= n)
     [..] payload bits prefix|context_map|successor_map|freq_table|stream,
          packed MSB-first, final byte zero-padded
+
+`serialize` writes the header, packed with `struct`, and the five
+components through one `BitWriter` and returns its buffer, copied once;
+`deserialize` reads them in place, through one `BitReader` past the header.
 
 The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
@@ -505,17 +509,14 @@ def serialize(payload: EahPayload, header: Header) -> bytes:
     if not 0 <= payload.freq_width <= 255:
         raise ValueError(f"freq_width must be between 0 and 255, got {payload.freq_width}")
     alphabet = header.alphabet.to_bytes()
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<BBB", VERSION, header.order, len(alphabet) - 1)
-    out += alphabet
-    out += struct.pack("<Q", header.length)
-    out += struct.pack("<B", payload.freq_width)
+    if list(alphabet) != sorted(alphabet):
+        raise ValueError(f"alphabet must be in ascending byte order, got {alphabet!r}")
+    fixed = struct.pack("<4s3B", MAGIC, VERSION, header.order, len(alphabet) - 1)
+    fixed += alphabet + struct.pack("<QB", header.length, payload.freq_width)
     bits = BitWriter()
-    for component in payload.components():
+    for component in (BitString(fixed, 8 * len(fixed)), *payload.components()):
         bits.write_bits(component)
-    out += bits.getvalue().to_bytes()
-    return bytes(out)
+    return bits.getvalue().to_bytes()
 
 
 def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
@@ -548,7 +549,8 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     freq_width = blob[7 + m + 8]
     header = Header(order, alphabet, h)
 
-    reader = BitReader(blob[end:])
+    reader = BitReader(blob)
+    reader.read_uint(8 * end)  # past the header, parsed above
     components: dict[str, BitString] = {}
 
     def read(count: int, name: str) -> BitString:

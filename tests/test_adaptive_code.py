@@ -69,6 +69,31 @@ class TestAlphabet:
             Alphabet([1, 1])
         with pytest.raises(ValueError):
             Alphabet([300])
+        with pytest.raises(ValueError):
+            Alphabet.from_bytes(b"")
+
+
+class TestCodeTable:
+    @pytest.mark.parametrize(
+        "order, columns",
+        [
+            (0, {b"": {A: "0", B: "10", C: "11"}}),
+            (1, {b"ab": {A: "0", B: "10", C: "11"}}),
+            (1, {b"d": {A: "0", B: "10", C: "11"}}),
+            (1, {b"a": {A: "0", B: "1"}}),
+            (1, {b"a": {A: "", B: "10", C: "11"}}),
+        ],
+        ids=[
+            "order-0",
+            "context-longer-than-order",
+            "context-outside-alphabet",
+            "column-missing-a-symbol",
+            "empty-codeword",
+        ],
+    )
+    def test_rejects_malformed_tables(self, order, columns):
+        with pytest.raises(ValueError):
+            make_table(columns, order=order)
 
 
 class TestExtend:
@@ -107,6 +132,8 @@ class TestExtend:
         table = make_table(columns)
         with pytest.raises(TableIncompleteError):
             extend(table, b"abd")
+        with pytest.raises(TableIncompleteError):  # no column for context "a"
+            extend(make_table({b"": TABLE1_COLUMNS[b""]}, order=1), b"ab")
 
 
 class TestValidatePrefixCondition:
@@ -174,6 +201,10 @@ class TestDecodeWithTable:
         table = make_table(columns, order=1)
         with pytest.raises(CorruptStreamError):
             decode_with_table(table, BitString.from_str("11"), 1)
+        with pytest.raises(TableIncompleteError):  # no column for context "a"
+            decode_with_table(table, BitString.from_str("0000"), 2)
+        with pytest.raises(ValueError):
+            decode_with_table(table, EMPTY, -1)
 
 
 def random_prefix_table(rng, alphabet, order):

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import eahc
 
 # The public surface of the package.  Changing it is a deliberate act:
@@ -76,3 +80,18 @@ def test_support_types_keep_their_members():
         for x in instances
     }
     assert got == MEMBERS
+
+
+def test_imports_only_stdlib_and_eahc():
+    # the package promises no runtime dependencies
+    for path in sorted(Path(eahc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one inside eahc
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "eahc", (path.name, name)

@@ -94,6 +94,9 @@ class TestLz78:
         bad = BitString.from_str("10")  # 1-bit pointer=1, 1-bit symbol=a
         with pytest.raises(CorruptStreamError):
             lz78_decode(bad, 1, alphabet)
+        # 1-bit pointer=0, 2-bit symbol index 3 of a 3-symbol alphabet
+        with pytest.raises(CorruptStreamError):
+            lz78_decode(BitString.from_str("011"), 1, Alphabet.from_bytes(b"abc"))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -29,10 +29,18 @@ class TestBitString:
     def test_rejects_wrong_byte_count(self):
         with pytest.raises(ValueError):
             BitString(b"\x00\x00", 4)
+        with pytest.raises(ValueError):
+            BitString(b"", -1)
 
     def test_from_int_rejects_overflow(self):
         with pytest.raises(ValueError):
             BitString.from_int(4, 2)
+        with pytest.raises(ValueError):
+            BitString.from_int(5, -1)
+
+    def test_from_str_rejects_other_characters(self):
+        with pytest.raises(ValueError):
+            BitString.from_str("012")
 
     def test_hash_and_eq(self):
         assert BitString.from_str("101") == BitString.from_str("101")
@@ -59,6 +67,8 @@ class TestReaderWriter:
             r.read_uint(1)
         with pytest.raises(TruncationError):
             BitReader(BitString.from_str("10")).read_uint(3)
+        with pytest.raises(ValueError):
+            BitReader(b"a").read_uint(-1)
 
     def test_final_byte_zero_padded(self):
         w = BitWriter()

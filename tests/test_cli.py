@@ -109,6 +109,8 @@ class TestStats:
     def test_bad_orders_rejected(self, sample_file):
         with pytest.raises(SystemExit):
             main(["stats", "-i", str(sample_file), "--orders", "zap"])
+        with pytest.raises(SystemExit, match="empty order list"):
+            main(["stats", "-i", str(sample_file), "--orders", ","])
 
 
 class TestGraph:

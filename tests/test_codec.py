@@ -570,6 +570,7 @@ class TestContainer:
             ("length", -1),
             ("length", 1 << 64),
             ("freq_width", 256),
+            ("alphabet", Alphabet(b"dcba")),  # deserialize requires ascending
         ],
     )
     def test_serialize_rejects_unframeable_fields(self, field, value):
@@ -647,6 +648,25 @@ class TestContextBudget:
     def test_largest_map_encodes(self):
         payload, _ = encode(bytes(range(256)), 3)
         assert len(payload.context_map) == codec.MAX_CONTEXT_BITS == 256**3
+
+    def test_largest_map_round_trip_peaks(self):
+        # compress holds the context map, the one writer buffer and its one
+        # copy; decompress reads the container in place and copies only the
+        # context map out of it
+        word = bytes(range(256))
+        blob = compress(word, 3)
+        assert len(blob) > 2 << 20
+        tracemalloc.start()
+        try:
+            assert compress(word, 3) == blob
+            _, compress_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert decompress(blob) == word
+            _, decompress_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decompress_peak < 1.5 * len(blob)
+        assert compress_peak < 3.5 * len(blob)
 
     def test_over_budget_refused_before_allocating(self):
         word = bytes(range(17)) * 2  # 17**6 contexts: a 2.9 MiB map

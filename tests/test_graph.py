@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from eahc.graph import Vertex, assign_codewords, build_graph, export_dot
 from oracles import SAMPLE_200, reference_dot, scan_transition_counts
 
@@ -56,6 +58,10 @@ class TestBuildGraphGeneral:
         assert not build_graph(b"ab", 3).vertices
         assert not build_graph(b"a", 1).vertices
         assert not build_graph(b"abc", 3).vertices
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            build_graph(b"ab", 0)
 
     def test_order2_structure(self):
         g = build_graph(b"abab", 2)
