@@ -12,7 +12,7 @@ from collections import Counter
 
 from .adaptive_code import Alphabet
 from .bitstream import BitReader, BitString, BitWriter
-from .errors import CorruptStreamError
+from .errors import CorruptStreamError, TrailingGarbageError
 from .huffman import code_pairs
 
 
@@ -70,7 +70,15 @@ def lz78_encode(word: bytes) -> tuple[BitString, int]:
 
 
 def lz78_decode(bits: BitString, phrase_count: int, alphabet: Alphabet) -> bytes:
-    """Invert lz78_encode given the phrase count and alphabet."""
+    """Invert lz78_encode given the phrase count and alphabet.
+
+    Raises ValueError for a negative phrase count, CorruptStreamError for
+    a phrase that names no entry or symbol, TruncationError when the bits
+    run out mid-phrase, and TrailingGarbageError when bits remain after
+    `phrase_count` phrases.
+    """
+    if phrase_count < 0:
+        raise ValueError("phrase count must be >= 0")
     pointer_width, symbol_width = _widths(phrase_count, len(alphabet))
     reader = BitReader(bits)
     entries: list[bytes] = []
@@ -88,4 +96,7 @@ def lz78_decode(bits: BitString, phrase_count: int, alphabet: Alphabet) -> bytes
         phrase = (entries[pointer - 1] if pointer else b"") + bytes([sym])
         entries.append(phrase)
         out += phrase
+    if reader.remaining():
+        left = reader.remaining()
+        raise TrailingGarbageError(f"{left} bits left after {phrase_count} phrases")
     return bytes(out)

@@ -4,11 +4,18 @@ Bits are packed most-significant-bit first within each byte; a final
 partial byte is zero-padded.  A finished BitString is immutable, so it can
 be shared freely across threads; readers and writers are single-owner
 cursors.
+
+`write_bits` and `read_bits` copy whole bytes while the cursor is
+byte-aligned (on read, once, with the bits past the end cleared); every
+other bit goes through `write_uint`/`read_uint` at most `_SPLICE` bits at a
+time, so no copy turns more than 8 KiB of a component into one integer.
 """
 
 from __future__ import annotations
 
 from .errors import TruncationError
+
+_SPLICE = 1 << 16  # bits per integer in an unaligned copy; a multiple of 8
 
 
 class BitString:
@@ -101,17 +108,15 @@ class BitWriter:
 
     def write_bits(self, bits: BitString) -> None:
         """Append every bit of an existing BitString."""
-        n = len(bits)
+        data, n = bits.to_bytes(), len(bits)
+        done = 0
         if self._accbits == 0:
-            # byte-aligned fast path: splice whole bytes, finish with the tail
-            full = n >> 3
-            data = bits.to_bytes()
-            self._buf += memoryview(data)[:full]
-            rem = n & 7
-            if rem:
-                self.write_uint(data[full] >> (8 - rem), rem)
-        else:
-            self.write_uint(bits.uint(), n)
+            done = n & ~7
+            self._buf += memoryview(data)[: done >> 3]
+        for start in range(done, n, _SPLICE):
+            stop = min(start + _SPLICE, n)
+            chunk = int.from_bytes(data[start >> 3 : (stop + 7) >> 3], "big")
+            self.write_uint(chunk >> (-stop % 8), stop - start)
 
     def getvalue(self) -> BitString:
         """Snapshot of everything written so far, the buffer copied once."""
@@ -134,17 +139,18 @@ class BitReader:
     def remaining(self) -> int:
         return self._nbits - self._pos
 
-    def read_uint(self, width: int) -> int:
-        """Read `width` bits as a big-endian unsigned integer."""
+    def _end(self, width: int) -> int:
+        """The cursor after `width` more bits; raises if they are not there."""
         if width < 0:
             raise ValueError("width must be >= 0")
         end = self._pos + width
         if end > self._nbits:
-            raise TruncationError(
-                f"needed {width} bits, only {self.remaining()} remain"
-            )
-        if width == 0:
-            return 0
+            raise TruncationError(f"needed {width} bits, only {self.remaining()} remain")
+        return end
+
+    def read_uint(self, width: int) -> int:
+        """Read `width` bits as a big-endian unsigned integer."""
+        end = self._end(width)
         chunk = self._data[self._pos >> 3 : (end + 7) >> 3]
         value = int.from_bytes(chunk, "big") >> (-end % 8)
         self._pos = end
@@ -152,22 +158,15 @@ class BitReader:
 
     def read_bits(self, count: int) -> BitString:
         """Read `count` bits into a new BitString."""
-        if count >= 0 and self._pos & 7 == 0:
-            # byte-aligned fast path: slice instead of integer conversion
-            end = self._pos + count
-            if end > self._nbits:
-                raise TruncationError(
-                    f"needed {count} bits, only {self.remaining()} remain"
-                )
-            start = self._pos >> 3
-            stop = (end + 7) >> 3
-            pad = -count % 8
-            if pad:
-                # copy once, with the bits past `end` cleared in the last byte
-                last = self._data[stop - 1] & (0xFF << pad) & 0xFF
-                chunk = b"".join((memoryview(self._data)[start : stop - 1], bytes((last,))))
-            else:
-                chunk = self._data[start:stop]
+        end = self._end(count)
+        if count and self._pos & 7 == 0:
+            start, stop = self._pos >> 3, (end + 7) >> 3
+            last = bytes((self._data[stop - 1] & (0xFF << (-count % 8)) & 0xFF,))
             self._pos = end
-            return BitString(chunk, count)
-        return BitString.from_int(self.read_uint(count), count)
+            return BitString(b"".join((memoryview(self._data)[start : stop - 1], last)), count)
+        parts = []
+        for start in range(self._pos, end, _SPLICE):
+            width = min(_SPLICE, end - start)
+            value = self.read_uint(width) << (-width % 8)
+            parts.append(value.to_bytes((width + 7) >> 3, "big"))
+        return BitString(b"".join(parts), count)

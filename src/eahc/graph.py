@@ -18,6 +18,7 @@ immutable and shareable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import codec
@@ -25,6 +26,11 @@ from .adaptive_code import Alphabet
 from .bitstream import EMPTY, BitString
 
 Edge = tuple["Vertex", "Vertex"]
+
+# a DOT name spells as xHH every byte but the printables other than '"' and
+# '\', and also an 'x' before two bytes that would read as an escape's digits
+_ESCAPES = {b: f"x{b:02X}" for b in range(256) if not 33 <= b <= 126 or b in (34, 92)}
+_LITERAL_X = re.compile("x(?=[0-9A-F]{2})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,10 +40,7 @@ class Vertex:
 
     @property
     def name(self) -> str:
-        base = "".join(
-            chr(b) if 33 <= b <= 126 and b not in (34, 92) else f"x{b:02X}"
-            for b in self.key
-        )
+        base = _LITERAL_X.sub("x78", self.key.decode("latin-1")).translate(_ESCAPES)
         return base + "_aux" if self.aux else base
 
 

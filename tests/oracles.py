@@ -181,9 +181,17 @@ def reference_stream_decode(payload, header):
 
 
 def _dot_name(key: bytes, aux: bool) -> str:
-    name = "".join(
-        chr(b) if 33 <= b <= 126 and b not in (34, 92) else f"x{b:02X}" for b in key
-    )
+    # xHH for every byte but the printables other than '"' and '\'; a
+    # literal 'x' followed by two hex-digit characters is escaped as well,
+    # so that it never reads as the start of an escape
+    hex_digits = b"0123456789ABCDEF"
+    parts = []
+    for i, b in enumerate(key):
+        after = key[i + 1 : i + 3]
+        looks_escaped = b == ord("x") and len(after) == 2 and all(c in hex_digits for c in after)
+        printable = 33 <= b <= 126 and b not in (34, 92)
+        parts.append(chr(b) if printable and not looks_escaped else f"x{b:02X}")
+    name = "".join(parts)
     return name + "_aux" if aux else name
 
 

@@ -95,3 +95,10 @@ def test_imports_only_stdlib_and_eahc():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "eahc", (path.name, name)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10.  This checks the grammar only
+    # (`except*` would fail it), not which stdlib APIs the modules call.
+    for path in sorted(Path(eahc.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

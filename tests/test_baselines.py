@@ -9,7 +9,7 @@ from eahc.baselines import (
     lz78_encode,
 )
 from eahc.bitstream import BitString
-from eahc.errors import CorruptStreamError
+from eahc.errors import CorruptStreamError, TrailingGarbageError, TruncationError
 from oracles import SAMPLE_200, optimal_prefix_cost
 
 
@@ -101,3 +101,17 @@ class TestLz78:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lz78_encode(b"")
+
+    def test_bits_must_hold_exactly_the_phrases(self):
+        word = b"abracadabra"
+        bits, t = lz78_encode(word)
+        alphabet = Alphabet.from_bytes(word)
+        extra = BitString.from_str(bits.to01() + "0")
+        with pytest.raises(TrailingGarbageError):
+            lz78_decode(extra, t, alphabet)
+        with pytest.raises(TruncationError):
+            lz78_decode(BitString.from_str(bits.to01()[:-1]), t, alphabet)
+
+    def test_negative_phrase_count_rejected(self):
+        with pytest.raises(ValueError):
+            lz78_decode(BitString.from_str(""), -1, Alphabet.from_bytes(b"a"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eahc.bitstream import EMPTY, BitReader, BitString, BitWriter
+from eahc.bitstream import _SPLICE, EMPTY, BitReader, BitString, BitWriter
 from eahc.errors import TruncationError
 
 
@@ -75,24 +75,38 @@ class TestReaderWriter:
         w.write_bits(BitString.from_str("11"))
         assert w.getvalue().to_bytes() == b"\xc0"
 
+    @staticmethod
+    def _chunked_round_trip(bits, write_step, read_step):
+        w = BitWriter()
+        pos = 0
+        while pos < len(bits):
+            step = write_step(len(bits) - pos)
+            w.write_bits(BitString.from_str(bits[pos : pos + step]))
+            pos += step
+        written = w.getvalue()
+        assert written.to01() == bits
+        r = BitReader(written)
+        got = ""
+        while r.remaining():
+            got += r.read_bits(read_step(r.remaining())).to01()
+        assert got == bits
+
     def test_random_chunked_round_trips(self):
         rng = random.Random(3)
+
+        def step(left):
+            return rng.randint(1, left)
+
         for _ in range(150):
             bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 200)))
-            w = BitWriter()
-            pos = 0
-            while pos < len(bits):
-                step = rng.randint(1, len(bits) - pos)
-                w.write_bits(BitString.from_str(bits[pos : pos + step]))
-                pos += step
-            written = w.getvalue()
-            assert written.to01() == bits
-            r = BitReader(written)
-            got = ""
-            while r.remaining():
-                step = rng.randint(1, r.remaining())
-                got += r.read_bits(step).to01()
-            assert got == bits
+            self._chunked_round_trip(bits, step, step)
+        # longer than two unaligned-copy chunks, and copied whole after a
+        # 3-bit write or a 5-bit read, so each chunk starts mid-byte
+        bits = "".join(rng.choice("01") for _ in range(2 * _SPLICE + 77))
+        n = len(bits)
+        self._chunked_round_trip(
+            bits, lambda left: 3 if left == n else left, lambda left: 5 if left == n else left
+        )
 
     def test_aligned_odd_reads_match_slow_path(self):
         rng = random.Random(5)

@@ -124,10 +124,11 @@ class TestGraph:
 
     def test_empty_graph_for_short_input(self, tmp_path):
         src = tmp_path / "w.bin"
-        src.write_bytes(b"ab")
         dot = tmp_path / "w.dot"
-        assert main(["graph", "-i", str(src), "-o", str(dot), "-n", "3"]) == 0
-        assert dot.read_text() == "digraph G {\n}\n"
+        for word in (b"ab", b""):
+            src.write_bytes(word)
+            assert main(["graph", "-i", str(src), "-o", str(dot), "-n", "3"]) == 0
+            assert dot.read_text() == "digraph G {\n}\n"
 
     def test_deterministic(self, tmp_path):
         src = tmp_path / "w.bin"

@@ -668,6 +668,25 @@ class TestContextBudget:
         assert decompress_peak < 1.5 * len(blob)
         assert compress_peak < 3.5 * len(blob)
 
+    def test_unaligned_map_round_trip_peaks(self):
+        # a 21-bit prefix leaves the context map and everything after it off
+        # a byte boundary, so serialize and deserialize copy them through
+        # bounded integers rather than one integer per component
+        word = bytes(range(128)) * 2
+        blob = compress(word, 3)
+        assert len(blob) == 264_403
+        tracemalloc.start()
+        try:
+            assert compress(word, 3) == blob
+            _, compress_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert decompress(blob) == word
+            _, decompress_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decompress_peak < 2.5 * len(blob)
+        assert compress_peak < 3.5 * len(blob)
+
     def test_over_budget_refused_before_allocating(self):
         word = bytes(range(17)) * 2  # 17**6 contexts: a 2.9 MiB map
         tracemalloc.start()

@@ -203,6 +203,13 @@ class TestExportDot:
         text = export_dot(g)
         assert '"x00"' in text and '"x0A"' in text
 
+    def test_literal_x_never_reads_as_an_escape(self):
+        # the window b"x00" and the symbol 0x00 once both rendered as "x00"
+        g = build_graph(b"x00\x00x00\x00x00", 3)
+        assert len(g.vertices) == len({v.name for v in g.vertices}) == 7
+        assert all(src.name != dst.name for src, dst in g.labels)
+        assert '"x7800" -> "x00"' in export_dot(g)
+
     def test_matches_reference_dot(self):
         # byte-identical DOT, escaping and order-3 linking edges included
         rng = random.Random(35)
