@@ -47,7 +47,6 @@ from .graph import (
     build_graph,
     export_dot,
 )
-from .huffman import huffman
 
 __version__ = "0.1.0"
 
@@ -85,6 +84,5 @@ __all__ = [
     "assign_codewords",
     "build_graph",
     "export_dot",
-    "huffman",
     "__version__",
 ]

@@ -97,7 +97,6 @@ class CodeTable:
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
-        self.alphabet = alphabet
         self.order = order
         frozen: dict[bytes, dict[int, BitString]] = {}
         decoders: dict[bytes, tuple[dict[tuple[int, int], int], int]] = {}

@@ -71,14 +71,18 @@ The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
 MAX_CONTEXT_BITS possible contexts before it counts anything, so
 `encode`, `compress`, `leahn_length` and `graph.build_graph` share that
-budget.  `deserialize` needs none: `BitReader.read_bits` checks that the
-container holds a component's bits before it copies them.
+budget.  `deserialize` takes none: `BitReader.read_bits` checks that the
+container holds a component's bits before it copies them, and
+`_build_codes` stops once its codewords need more stream bits than
+remain.  Only the model's per-context dicts can still outgrow a crafted
+container many times over.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -244,12 +248,16 @@ def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | 
 _LONE = [_decoder_entry([(i, 1, 0, 1)]) for i in range(256)]
 
 
-def _build_codes(order: int, counts: dict[int, dict[int, int]]) -> tuple[dict, int]:
+def _build_codes(
+    order: int, counts: dict[int, dict[int, int]], available: int, truncated: str
+) -> tuple[dict, int]:
     """Each context's decoder entry, made by `_decoder_entry` from its
     `_successor_codes`.
 
     Returns the entries by context index and the codeword stream's length
     in bits.  Every lone-successor context of a symbol shares one entry.
+    Raises TruncationError(truncated) as soon as the codewords priced so
+    far need more than the `available` stream bits.
     """
     codes = {}
     stream_bits = 0
@@ -263,6 +271,8 @@ def _build_codes(order: int, counts: dict[int, dict[int, int]]) -> tuple[dict, i
             code = _decoder_entry(pairs)
             stream_bits += sum(f * length for _, f, _, length in pairs)
         codes[j] = code
+        if stream_bits > available:
+            raise TruncationError(truncated)
     return codes, stream_bits
 
 
@@ -271,10 +281,11 @@ _BIT_OFFSETS = [
 ]
 
 
-def _scan_set_bits(bits: BitString) -> list[int]:
-    """Ascending positions of set bits; fast on sparse bitmaps."""
+def _scan_set_bits(bits: BitString) -> array:
+    """Ascending positions of set bits, 4 bytes apiece while they fit in
+    32 bits; fast on sparse bitmaps."""
     data = bits.to_bytes()
-    out = []
+    out = array("I" if len(bits) <= 1 << 32 else "Q")
     append = out.append
     offsets = _BIT_OFFSETS
     for match in re.finditer(rb"[^\x00]", data):
@@ -341,16 +352,9 @@ def _read_v1(
     set_js = _scan_set_bits(read(m**n, "context_map"))
     s = len(set_js)
     marked = _scan_set_bits(read(m * s, "successor_map"))
-    if (freq_width > 0) != bool(marked):
-        raise CorruptHeaderError(
-            f"frequency field width {freq_width} for {len(marked)} marked successors"
-        )
     fields = read(freq_width * len(marked), "freq_table").to01()
-    freqs = (
-        [int(fields[k : k + freq_width], 2) for k in range(0, len(fields), freq_width)]
-        if marked
-        else []
-    )
+    step = freq_width or 1  # no fields at width 0
+    freqs = [int(fields[k : k + step], 2) for k in range(0, len(fields), step)]
     if 0 in freqs:
         raise CorruptHeaderError("marked successor with zero frequency")
     widest = max(freqs, default=0).bit_length()
@@ -451,7 +455,9 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         _, head, tables = cached
     else:
         head, model = _read_v1(header, payload.freq_width, _field_reader(payload))
-        tables, _ = _build_codes(n, model)
+        tables, _ = _build_codes(
+            n, model, len(payload.stream), "codeword stream ended early"
+        )
         del model  # freed before the stream loop
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
@@ -561,7 +567,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
         return bits
 
     head, model = _read_v1(header, freq_width, read)
-    tables, stream_bits = _build_codes(order, model)
+    tables, stream_bits = _build_codes(
+        order, model, reader.remaining(), "container truncated inside the stream"
+    )
     del model  # freed before the stream is copied
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):

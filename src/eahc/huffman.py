@@ -16,14 +16,14 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .bitstream import BitString
-
 
 def code_pairs(freqs: Sequence[int]) -> list[tuple[int, int]]:
-    """Codewords as (value, length) integer pairs, positionally aligned.
+    """A prefix code for a sequence of positive frequencies.
 
-    The raw form of `huffman` used on hot paths where wrapping every
-    codeword in a BitString would dominate.
+    Returns one (value, length) pair per input frequency, positionally
+    aligned: the codeword is the `length`-bit binary form of `value`.  A
+    single frequency gets the one-bit codeword "0".  The total cost
+    sum(f_i * l_i) is minimal over all prefix codes.
     """
     k = len(freqs)
     if k == 0:
@@ -61,15 +61,3 @@ def code_pairs(freqs: Sequence[int]) -> list[tuple[int, int]]:
         codes[one[t]] = (value | 1, length)
     return codes[:k]
 
-
-def huffman(freqs: Sequence[int]) -> tuple[tuple[BitString, int], ...]:
-    """Build a prefix code for a tuple of positive frequencies.
-
-    Returns one (codeword, length) pair per input frequency, positionally
-    aligned.  A single frequency gets the one-bit codeword "0".  The total
-    cost sum(f_i * l_i) is minimal over all prefix codes.
-    """
-    return tuple(
-        (BitString.from_int(value, length), length)
-        for value, length in code_pairs(freqs)
-    )

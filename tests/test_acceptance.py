@@ -14,7 +14,7 @@ from eahc.baselines import huffman_stream_length, lz78_encode
 from eahc.bitstream import BitString
 from eahc.codec import decode, deserialize, encode, serialize
 from eahc.graph import assign_codewords, build_graph
-from eahc.huffman import huffman
+from eahc.huffman import code_pairs
 from oracles import (
     SAMPLE_200,
     assert_component_identities,
@@ -166,10 +166,10 @@ def test_criterion_07_round_trip_suite():
 
 
 def _assert_code_quality(freqs):
-    codes = huffman(freqs)
+    codes = code_pairs(freqs)
     cost = sum(f * l for f, (_, l) in zip(freqs, codes))
     assert cost == optimal_prefix_cost(freqs), freqs
-    words = sorted(code.to01() for code, _ in codes)
+    words = sorted(format(value, f"0{length}b") for value, length in codes)
     for u, v in zip(words, words[1:]):
         assert not v.startswith(u), freqs
     kraft = sum(2 ** -l for _, l in codes)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -35,7 +36,6 @@ PUBLIC = [
     "encode",
     "export_dot",
     "extend",
-    "huffman",
     "huffman_stream_length",
     "leahn_length",
     "lz78_decode",
@@ -52,7 +52,7 @@ MEMBERS = {
     "BitReader": ["read_bits", "read_uint", "remaining"],
     "BitString": ["from_int", "from_str", "to01", "to_bytes", "uint"],
     "BitWriter": ["getvalue", "write_bits", "write_uint"],
-    "CodeTable": ["alphabet", "context", "contexts", "order"],
+    "CodeTable": ["context", "contexts", "order"],
 }
 
 
@@ -102,3 +102,27 @@ def test_sources_parse_as_python_3_10():
     # (`except*` would fail it), not which stdlib APIs the modules call.
     for path in sorted(Path(eahc.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def _bench_constant(filename: str, name: str):
+    # the value of a top-level literal assignment in bench/, read without
+    # importing the benchmark
+    path = Path(__file__).resolve().parents[1] / "bench" / filename
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not assigned in {path}")
+
+
+def test_benchmark_names_resolve():
+    # `bench/run.py --trace 1` wraps every TRACED function by name and fails
+    # on a missing one, so deleting one would break the benchmark unseen
+    for module in _bench_constant("run.py", "MODULES"):
+        importlib.import_module(f"eahc.{module}")
+    for module, function, _, _ in _bench_constant("spans.py", "TRACED"):
+        assert callable(getattr(importlib.import_module(f"eahc.{module}"), function, None)), (
+            module,
+            function,
+        )

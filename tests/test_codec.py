@@ -57,6 +57,30 @@ def _full_alphabet_word() -> bytes:
     return bytes(symbols)
 
 
+def _model_without_stream() -> bytes:
+    """m = 13 at order 3: all 2,197 contexts are followed by all 13 symbols
+    with Fibonacci counts, so every decoder table would hold 4,096
+    entries, but the container ends before the stream."""
+    fib = [1, 1]
+    while len(fib) < 13:
+        fib.append(fib[-1] + fib[-2])
+    counts = {j: dict(enumerate(fib)) for j in range(13**3)}
+    header = Header(3, Alphabet(bytes(range(13))), 3 + 13**3 * sum(fib))
+    prefix, context_map, successor_map, freq_table, width = codec._write_v1(
+        header, bytes(3), counts
+    )
+    payload = EahPayload(prefix, context_map, successor_map, freq_table, EMPTY, width)
+    return serialize(payload, header)
+
+
+def _context_map_without_successor_map() -> bytes:
+    """m = 256 at order 2 with all 65,536 contexts marked, and nothing
+    after the context map."""
+    full = BitString(b"\xff" * 8192, 65_536)
+    payload = EahPayload(BitString(bytes(2), 16), full, EMPTY, EMPTY, EMPTY, 0)
+    return serialize(payload, Header(2, Alphabet(bytes(range(256))), 1000))
+
+
 LONG_CODE_WORD = _long_code_word(14)
 TABLE_BITS_WORD = _long_code_word(13)
 REFERENCE_ERRORS = {
@@ -686,6 +710,29 @@ class TestContextBudget:
             tracemalloc.stop()
         assert decompress_peak < 2.5 * len(blob)
         assert compress_peak < 3.5 * len(blob)
+
+    @pytest.mark.parametrize(
+        "make, size, bound",
+        [
+            (_model_without_stream, 32_437, 8 << 20),
+            (_context_map_without_successor_map, 8_466, 1 << 20),
+        ],
+        ids=["model-without-stream", "context-map-without-successor-map"],
+    )
+    def test_missing_components_refused_in_bounded_memory(self, make, size, bound):
+        # the header and the first components claim far more than the
+        # container holds; the reader must refuse it before it builds
+        # what the missing bits would need
+        blob = make()
+        assert len(blob) == size
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                decompress(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_over_budget_refused_before_allocating(self):
         word = bytes(range(17)) * 2  # 17**6 contexts: a 2.9 MiB map

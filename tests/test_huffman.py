@@ -3,54 +3,47 @@ import random
 
 import pytest
 
-from eahc.huffman import code_pairs, huffman
+from eahc.huffman import code_pairs
 from oracles import optimal_prefix_cost, pool_code_pairs
 
 
 def codewords(freqs):
-    return [code.to01() for code, _ in huffman(freqs)]
+    return [format(value, f"0{length}b") for value, length in code_pairs(freqs)]
 
 
 class TestHuffman:
     def test_single_frequency(self):
-        ((code, length),) = huffman((42,))
-        assert code.to01() == "0"
-        assert length == 1
+        assert codewords((42,)) == ["0"]
 
     def test_three_distinct(self):
         # the per-context code of the 200-symbol sample's richest context
-        result = huffman((22, 14, 28))
-        assert [(c.to01(), l) for c, l in result] == [("10", 2), ("11", 2), ("0", 1)]
+        assert codewords((22, 14, 28)) == ["10", "11", "0"]
 
     def test_five_symbol_stream_cost(self):
         freqs = (31, 31, 64, 37, 37)
-        result = huffman(freqs)
+        result = code_pairs(freqs)
         assert [l for _, l in result] == [3, 3, 2, 2, 2]
         assert sum(f * l for f, (_, l) in zip(freqs, result)) == 462
 
     def test_all_equal(self):
-        lengths = sorted(l for _, l in huffman((1, 1, 1)))
+        lengths = sorted(l for _, l in code_pairs((1, 1, 1)))
         assert lengths == [1, 2, 2]
-        assert sum(l for _, l in huffman((1, 1, 1))) == 5
-
-    def test_length_field_matches_codeword(self):
-        for code, length in huffman((3, 1, 4, 1, 5)):
-            assert len(code) == length
+        assert sum(l for _, l in code_pairs((1, 1, 1))) == 5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            huffman(())
+            code_pairs(())
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            huffman((1, 0, 2))
+            code_pairs((1, 0, 2))
 
     def test_prefix_property_random(self):
         rng = random.Random(11)
         for _ in range(400):
             k = rng.randint(1, 12)
             freqs = [rng.randint(1, 50) for _ in range(k)]
-            words = sorted(c.to01() for c, _ in huffman(freqs))
+            words = sorted(codewords(freqs))
             for a, b in zip(words, words[1:]):
                 assert not b.startswith(a), (freqs, words)
 
@@ -59,7 +52,7 @@ class TestHuffman:
         for _ in range(300):
             k = rng.randint(1, 10)
             freqs = [rng.randint(1, 30) for _ in range(k)]
-            total = sum(2 ** -l for _, l in huffman(freqs))
+            total = sum(2 ** -l for _, l in code_pairs(freqs))
             assert total == (0.5 if k == 1 else 1.0)
 
     def test_optimality_against_enumeration(self):
@@ -67,14 +60,14 @@ class TestHuffman:
         for _ in range(400):
             k = rng.randint(1, 8)
             freqs = [rng.randint(1, 20) for _ in range(k)]
-            cost = sum(f * l for f, (_, l) in zip(freqs, huffman(freqs)))
+            cost = sum(f * l for f, (_, l) in zip(freqs, code_pairs(freqs)))
             assert cost == optimal_prefix_cost(freqs), freqs
 
     def test_determinism(self):
         freqs = (5, 5, 5, 5, 2, 2)
-        first = [(c.to01(), l) for c, l in huffman(freqs)]
+        first = codewords(freqs)
         for _ in range(5):
-            assert [(c.to01(), l) for c, l in huffman(freqs)] == first
+            assert codewords(freqs) == first
 
     def test_positional_alignment_under_permutation(self):
         # powers of two give every frequency a unique depth, so each value
@@ -82,7 +75,7 @@ class TestHuffman:
         base = (1, 2, 4, 8, 16)
         expected = {1: 4, 2: 4, 4: 3, 8: 2, 16: 1}
         for perm in itertools.permutations(base):
-            lengths = [l for _, l in huffman(perm)]
+            lengths = [l for _, l in code_pairs(perm)]
             assert {f: l for f, l in zip(perm, lengths)} == expected
 
 
