@@ -47,9 +47,10 @@ over the payload's own fields.  The decoder never sees the input.
 length is only known from the codes; it hands them and the prefix indices
 to `decode` inside the payload, so `decompress` reads each component and
 builds the tables once.  Reading the model and building the tables is
-most of what decompressing costs on model-heavy input: 0.28 of 0.37 s of
-CPU on the benchmark's `random-bytes` workload and 2.24 of 2.75 s on
-`many-small` (seed 1, median of 5 passes, 2-vCPU x86-64, CPython 3.11).
+most of what decompressing costs on model-heavy input: 0.40 of 0.51 s of
+CPU on the benchmark's `random-bytes` workload and 2.12 of 2.55 s on
+`many-small`, of which the map scan is 0.51 s (seed 1, median of 5
+passes, 2-vCPU x86-64 shared host, CPython 3.11.7).
 
 Container wire format (all integers little-endian):
 
@@ -281,18 +282,32 @@ _BIT_OFFSETS = [
 ]
 
 
+_SCAN_CHUNK = 8192  # bytes of a map `_scan_set_bits` masks at once
+_NONZERO = bytes(1) + b"\x01" * 255  # byte -> 1 when any of its bits is set
+_find_ones = re.compile(rb"\x01").finditer
+
+
 def _scan_set_bits(bits: BitString) -> array:
     """Ascending positions of set bits, 4 bytes apiece while they fit in
-    32 bits; fast on sparse bitmaps."""
+    32 bits.
+
+    Each _SCAN_CHUNK-byte slice of the map is translated to a 0/1 mask in
+    which the nonzero bytes are found by searching for the literal byte 1:
+    `re` skips to a literal at memchr speed, but would test a class of
+    nonzero bytes one byte at a time.  Scratch memory is bounded by two
+    slices, the slice and its mask, not by a second copy of the map.
+    """
     data = bits.to_bytes()
     out = array("I" if len(bits) <= 1 << 32 else "Q")
     append = out.append
     offsets = _BIT_OFFSETS
-    for match in re.finditer(rb"[^\x00]", data):
-        p = match.start()
-        base = p * 8
-        for k in offsets[data[p]]:
-            append(base + k)
+    for start in range(0, len(data), _SCAN_CHUNK):
+        chunk = data[start : start + _SCAN_CHUNK]
+        for match in _find_ones(chunk.translate(_NONZERO)):
+            p = match.start()
+            base = (start + p) * 8
+            for k in offsets[chunk[p]]:
+                append(base + k)
     return out
 
 
@@ -353,8 +368,11 @@ def _read_v1(
     s = len(set_js)
     marked = _scan_set_bits(read(m * s, "successor_map"))
     fields = read(freq_width * len(marked), "freq_table").to01()
-    step = freq_width or 1  # no fields at width 0
-    freqs = [int(fields[k : k + step], 2) for k in range(0, len(fields), step)]
+    freqs = (
+        list(map(int, re.findall(f".{{{freq_width}}}", fields), repeat(2)))
+        if freq_width
+        else []  # no fields at width 0
+    )
     if 0 in freqs:
         raise CorruptHeaderError("marked successor with zero frequency")
     widest = max(freqs, default=0).bit_length()

@@ -67,6 +67,15 @@ def optimal_prefix_cost(freqs) -> int:
     return best
 
 
+def set_bit_positions(bits) -> list[int]:
+    """Positions of the set bits of a BitString, one bit at a time."""
+    positions = []
+    for p, bit in enumerate(bits.to01()):
+        if bit == "1":
+            positions.append(p)
+    return positions
+
+
 def popcount(bits) -> int:
     return int.from_bytes(bits.to_bytes(), "big").bit_count()
 

@@ -33,6 +33,7 @@ from oracles import (
     assert_component_identities,
     reference_stream_decode,
     scan_transition_counts,
+    set_bit_positions,
 )
 
 W9 = b"abccdbbab"
@@ -300,6 +301,30 @@ class TestDecode:
         with pytest.raises(CorruptHeaderError):
             decode(payload, bad_header)
 
+    @pytest.mark.parametrize(
+        "word, order, width",
+        [
+            (_full_alphabet_word(), 2, 1),
+            (_long_code_word(11), 1, 7),
+            (_long_code_word(12), 1, 8),
+            (LONG_CODE_WORD, 1, 9),
+        ],
+        ids=["width-1", "width-7", "width-8", "width-9"],
+    )
+    def test_frequency_fields_across_byte_boundaries(self, word, order, width):
+        payload, header = encode(word, order)
+        assert payload.freq_width == width
+        assert len(payload.freq_table) > 8 * width  # fields cross byte boundaries
+        head, model = codec._read_v1(header, width, codec._field_reader(payload))
+        assert head == word[:order].translate(codec._index_table(header.alphabet))
+        assert model == codec._successor_counts(word, order, header.alphabet)
+        bits = payload.freq_table.to01()
+        k = len(bits) // width // 2 * width  # the middle field
+        zeroed = bits[:k] + "0" * width + bits[k + width :]
+        broken = dataclasses.replace(payload, freq_table=BitString.from_str(zeroed))
+        with pytest.raises(CorruptHeaderError, match="zero frequency"):
+            decode(broken, header)
+
     def test_symbol_missing_from_empty_data_rejected(self):
         # "a" framed with length 0: the alphabet holds a symbol no data uses
         payload, header = encode(b"a", 1)
@@ -453,6 +478,56 @@ class TestContextIndex:
             window = codec._window(j, m, n)
             assert len(window) == n
             assert codec._context_index(window, m) == j
+
+
+class TestScanSetBits:
+    """`_scan_set_bits` against a bit-by-bit reference, on maps that span
+    several of the slices it masks at once."""
+
+    SLICE_BITS = 8 * codec._SCAN_CHUNK
+
+    @staticmethod
+    def check(bits: BitString) -> None:
+        positions = codec._scan_set_bits(bits)
+        assert list(positions) == set_bit_positions(bits)
+        assert codec._bitmap(positions, len(bits)) == bits
+
+    @staticmethod
+    def from_positions(positions, nbits: int) -> BitString:
+        text = ["0"] * nbits
+        for p in positions:
+            text[p] = "1"
+        return BitString.from_str("".join(text))
+
+    @pytest.mark.parametrize("nbits", [0, 1, 7, 8, SLICE_BITS + 3])
+    def test_empty_zero_and_full_maps(self, nbits):
+        self.check(BitString(bytes((nbits + 7) // 8), nbits))
+        self.check(BitString.from_int((1 << nbits) - 1, nbits))
+
+    @pytest.mark.parametrize("density", [0.001, 0.01, 0.1, 0.5, 0.9])
+    def test_random_maps(self, density):
+        rng = random.Random(f"scan:{density}")
+        for nbits in (13, 1021, 2 * self.SLICE_BITS + 5):
+            positions = [p for p in range(nbits) if rng.random() < density]
+            self.check(self.from_positions(positions, nbits))
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [SLICE_BITS - 1, SLICE_BITS],
+            [SLICE_BITS - 8, SLICE_BITS + 7],
+            [SLICE_BITS - 8, SLICE_BITS - 1, SLICE_BITS + 1, SLICE_BITS + 6],
+            [SLICE_BITS - 1, 2 * SLICE_BITS - 1, 2 * SLICE_BITS],
+        ],
+        ids=["adjacent-bits", "byte-edges", "two-each-side", "two-boundaries"],
+    )
+    def test_set_bits_either_side_of_a_slice_boundary(self, positions):
+        self.check(self.from_positions(positions, 2 * self.SLICE_BITS + 13))
+
+    @pytest.mark.parametrize("nbits", [3, 8 * 5 + 3, SLICE_BITS + 8 * 5 + 3])
+    def test_set_bit_in_the_final_padded_byte(self, nbits):
+        self.check(self.from_positions([nbits - 1], nbits))
+        self.check(self.from_positions([0, nbits - 3, nbits - 1], nbits))
 
 
 class TestDecodeTables:
