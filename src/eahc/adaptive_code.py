@@ -7,9 +7,9 @@ set is a prefix code, the extension of the table to whole strings is
 injective, so encoded strings decode uniquely.
 
 `_walk_codeword` reads one codeword bit by bit against a (value, length)
--> symbol map.  `decode_with_table` uses it for every symbol, and the
-codec's decoder for contexts whose codewords are too long for its lookup
-tables, so the package has one bit-by-bit walk.
+-> symbol map, or -> rank in the codec.  `decode_with_table` uses it for
+every symbol, and the codec's decoder for contexts whose codewords are
+too long for its lookup tables, so the package has one bit-by-bit walk.
 """
 
 from __future__ import annotations
@@ -180,10 +180,10 @@ def _walk_codeword(
     context: object,
 ) -> tuple[int, int]:
     """Decode one codeword bit by bit from position `pos` of the first
-    `nbits` bits of `data`; returns the symbol and the position after it.
+    `nbits` bits of `data`; returns its `table` entry and the position after.
 
-    `table` maps (value, length) to the symbol, `longest` is its longest
-    codeword length and `context` names the context in error messages.
+    `table` maps (value, length) to a symbol or a rank, `longest` is its
+    longest codeword length and `context` names the context in errors.
     """
     acc = 0
     length = 0
@@ -193,9 +193,9 @@ def _walk_codeword(
         acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
         pos += 1
         length += 1
-        sym = table.get((acc, length))
-        if sym is not None:
-            return sym, pos
+        entry = table.get((acc, length))
+        if entry is not None:
+            return entry, pos
         if length >= longest:
             raise CorruptStreamError(f"undecodable codeword in context {context!r}")
 

@@ -9,14 +9,14 @@ is the transition graph of the paper; `graph.build_graph` and
 `graph.assign_codewords` are views of it and of `_successor_codes`, the
 Huffman code of one context, and ask this module for both numberings.
 
-Only the decoder keeps per-context tables.  `_build_codes` derives them
-from the model: each context's codewords are looked up in a table over
-the next L bits of the stream, L being the context's longest codeword,
-whose entry v holds the (symbol, length) of the codeword that prefixes
-v.  A context whose codewords exceed TABLE_BITS is walked bit by bit
-through a (value, length) dict instead, by `adaptive_code._walk_codeword`.
-Every lone-successor context of a symbol shares one entry, and the
-builder also counts the codeword stream's length in bits.
+Only the decoder keeps tables, one per distinct count tuple in code
+order, which fixes the code: `_build_codes` makes (L, ranks, lengths,
+cost), where slot v of the 2**L bytes `ranks` holds the rank of the
+codeword prefixing v (L is the longest codeword), `lengths[rank]` is 0
+for no codeword and cost is Σ f·length.  A context's entry adds `syms`,
+its successors in code order, which `decode` indexes by rank.  Past
+TABLE_BITS, `ranks` is a (value, length) -> rank dict that
+`adaptive_code._walk_codeword` walks.  Lone successors share `_LONE`.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -47,10 +47,10 @@ over the payload's own fields.  The decoder never sees the input.
 length is only known from the codes; it hands them and the prefix indices
 to `decode` inside the payload, so `decompress` reads each component and
 builds the tables once.  Reading the model and building the tables is
-most of what decompressing costs on model-heavy input: 0.40 of 0.51 s of
-CPU on the benchmark's `random-bytes` workload and 2.12 of 2.55 s on
-`many-small`, of which the map scan is 0.51 s (seed 1, median of 5
-passes, 2-vCPU x86-64 shared host, CPython 3.11.7).
+most of what decompressing costs on model-heavy input: 0.13 of 0.18 s of
+CPU on the benchmark's `random-bytes` workload and 1.10 of 1.42 s on
+`many-small` (seed 1, median of 5 passes, 2-vCPU x86-64 shared host,
+CPython 3.11.7).
 
 Container wire format (all integers little-endian):
 
@@ -138,21 +138,21 @@ class EahPayload:
         return sum(len(c) for c in self.components())
 
 
-def _successor_codes(
-    order: int, context_index: int, pairs: list[tuple[int, int]]
-) -> list[tuple[int, int, int, int]]:
-    """Huffman codewords of one context as (symbol index, frequency, value,
-    length), in the order the code is built in.
+def _code_order(order: int, context_index: int, pairs: list) -> tuple[tuple, tuple]:
+    """One context's successor symbol indices in code order, and their
+    counts.  pairs: (symbol index, frequency), symbol index ascending; at
+    order 1 the diagonal entry is the repeat successor and codes last."""
+    if order == 1:  # a stable sort moves the diagonal entry alone
+        pairs = sorted(pairs, key=lambda p: p[0] == context_index)
+    syms, freqs = zip(*pairs)
+    return syms, freqs
 
-    pairs: (symbol index, frequency), symbol index ascending; for order 1
-    the diagonal entry is the repeat successor and codes last.
-    """
-    if order == 1:
-        pairs = [p for p in pairs if p[0] != context_index] + [
-            p for p in pairs if p[0] == context_index
-        ]
-    codes = code_pairs([f for _, f in pairs])
-    return [(i, f, value, length) for (i, f), (value, length) in zip(pairs, codes)]
+
+def _successor_codes(order: int, context_index: int, pairs: list) -> list[tuple]:
+    """Huffman codewords of one context as (symbol index, value, length), in
+    code order; `pairs` as `_code_order` takes them."""
+    syms, freqs = _code_order(order, context_index, pairs)
+    return [(i, value, length) for i, (value, length) in zip(syms, code_pairs(freqs))]
 
 
 def _index_table(alphabet: Alphabet) -> bytes:
@@ -231,36 +231,36 @@ def _successor_counts(
     return counts
 
 
-def _decoder_entry(codes: list[tuple[int, int, int, int]]) -> tuple[int, list | dict]:
-    """(L, table) as described in the module docstring."""
-    longest = max(length for _, _, _, length in codes)
+def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int]:
+    """(L, ranks, lengths, cost) of the code over `freqs`, as the module
+    docstring describes; a code over two or more counts fills every slot."""
+    codes = code_pairs(freqs)
+    lengths = bytes(length for _, length in codes)
+    longest = max(lengths)
+    cost = sum(map(mul, freqs, lengths))
     if longest > TABLE_BITS:
-        return longest, {(value, length): i for i, _, value, length in codes}
-    table: list = [None] * (1 << longest)
-    for i, _, value, length in codes:
+        return longest, {code: r for r, code in enumerate(codes)}, lengths, cost
+    ranks = bytearray(1 << longest)
+    for r, (value, length) in enumerate(codes):
         span = 1 << (longest - length)
-        start = value * span
-        table[start : start + span] = [(i, length)] * span
-    return longest, table
+        ranks[value * span : (value + 1) * span] = bytes((r,)) * span
+    return longest, bytes(ranks), lengths, cost
 
 
-# the entry of a lone successor depends only on its symbol index (its
-# codeword is "0" whatever its count), so each is built once per process
-_LONE = [_decoder_entry([(i, 1, 0, 1)]) for i in range(256)]
+# a lone successor's codeword is "0" whatever its count, so its entry
+# depends only on its symbol index; slot 1 has rank 1, of length 0
+_LONE = [(1, b"\x00\x01", b"\x01\x00", bytes((i, i))) for i in range(256)]
 
 
 def _build_codes(
     order: int, counts: dict[int, dict[int, int]], available: int, truncated: str
 ) -> tuple[dict, int]:
-    """Each context's decoder entry, made by `_decoder_entry` from its
-    `_successor_codes`.
-
-    Returns the entries by context index and the codeword stream's length
-    in bits.  Every lone-successor context of a symbol shares one entry.
-    Raises TruncationError(truncated) as soon as the codewords priced so
-    far need more than the `available` stream bits.
-    """
+    """Each context's decoder entry by context index, as the module
+    docstring describes, and the codeword stream's length in bits.  Raises
+    TruncationError(truncated) as soon as the codewords priced so far need
+    more than the `available` stream bits."""
     codes = {}
+    shared: dict[tuple[int, ...], tuple] = {}
     stream_bits = 0
     for j, row in counts.items():
         if len(row) == 1:
@@ -268,9 +268,12 @@ def _build_codes(
             code = _LONE[i]
             stream_bits += f
         else:
-            pairs = _successor_codes(order, j, sorted(row.items()))
-            code = _decoder_entry(pairs)
-            stream_bits += sum(f * length for _, f, _, length in pairs)
+            syms, freqs = _code_order(order, j, sorted(row.items()))
+            if freqs not in shared:
+                shared[freqs] = _ranked_table(freqs)
+            longest, ranks, lengths, cost = shared[freqs]
+            code = (longest, ranks, lengths, bytes(syms))
+            stream_bits += cost
         codes[j] = code
         if stream_bits > available:
             raise TruncationError(truncated)
@@ -440,7 +443,7 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
         if len(row) == 1:
             codewords[j * m + next(iter(row))] = "0"
             continue
-        for i, _, value, length in _successor_codes(n, j, sorted(row.items())):
+        for i, value, length in _successor_codes(n, j, sorted(row.items())):
             text = texts.get((value, length))
             if text is None:
                 text = texts[value, length] = format(value, f"0{length}b")
@@ -493,19 +496,19 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         context = tables_get(j)
         if context is None:
             raise CorruptStreamError(f"no code table for context index {j}")
-        longest, table = context
+        longest, ranks, lengths, syms = context
         if longest <= TABLE_BITS:
             p = pos >> 3
-            entry = table[
+            r = ranks[
                 (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
                 & ((1 << longest) - 1)
             ]
-            if entry is None:
+            if not (length := lengths[r]):
                 raise CorruptStreamError(f"undecodable codeword in context {j}")
-            i, length = entry
             pos += length
         else:
-            i, pos = _walk_codeword(table, longest, data, pos, nbits, j)
+            r, pos = _walk_codeword(ranks, longest, data, pos, nbits, j)
+        i = syms[r]
         if pos > nbits:
             raise TruncationError("codeword stream ended early")
         append(i)

@@ -116,7 +116,7 @@ def assign_codewords(g: AdaptiveGraph) -> None:
     for src, row in by_context.items():
         pairs = [(i, g.labels[row[i]].frequency) for i in sorted(row)]
         j = codec._context_index(map(g.alphabet.index, src.key), len(g.alphabet))
-        for i, _, value, length in codec._successor_codes(g.order, j, pairs):
+        for i, value, length in codec._successor_codes(g.order, j, pairs):
             g.labels[row[i]].codeword = BitString.from_int(value, length)
 
 

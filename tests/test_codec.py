@@ -381,7 +381,7 @@ def _write_uint_stream(word: bytes, order: int) -> BitString:
     codes = {}
     for j, row in _scanned_model(word, order).items():
         pairs = codec._successor_codes(order, j, sorted(row.items()))
-        codes[j] = {i: (value, length) for i, _, value, length in pairs}
+        codes[j] = {i: (value, length) for i, value, length in pairs}
     out = BitWriter()
     j = 0
     for b in word[:order]:
@@ -533,17 +533,71 @@ class TestScanSetBits:
 class TestDecodeTables:
     def test_long_codewords_use_the_bitwise_fallback(self):
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
-        longest, table = payload._tables[2][0]
+        longest, ranks, _, _ = payload._tables[2][0]
         assert longest == 13 > codec.TABLE_BITS
-        assert isinstance(table, dict)
+        assert isinstance(ranks, dict)
         assert decode(payload, header) == LONG_CODE_WORD
 
     def test_codewords_of_table_bits_use_a_table(self):
         payload, header = deserialize(compress(TABLE_BITS_WORD, 1))
-        longest, table = payload._tables[2][0]
+        longest, ranks, _, _ = payload._tables[2][0]
         assert longest == codec.TABLE_BITS
-        assert isinstance(table, list)
+        assert isinstance(ranks, bytes)
         assert decode(payload, header) == TABLE_BITS_WORD
+
+    def test_equal_count_vectors_share_one_table(self, monkeypatch):
+        word = random.Random(7).randbytes(4000)
+        blob = compress(word, 2)
+        model = codec._successor_counts(word, 2, Alphabet.from_bytes(word))
+        # at order 2 the code order is ascending symbol order
+        vectors = {
+            j: tuple(f for _, f in sorted(row.items()))
+            for j, row in model.items()
+            if len(row) > 1
+        }
+        calls = []
+        original = codec.code_pairs
+
+        def counted(freqs):
+            calls.append(freqs)
+            return original(freqs)
+
+        monkeypatch.setattr(codec, "code_pairs", counted)
+        payload, header = deserialize(blob)
+        assert len(calls) == len(set(vectors.values())) < len(vectors)
+        first: dict[tuple, tuple] = {}
+        for j, vector in vectors.items():
+            _, ranks, lengths, _ = payload._tables[2][j]
+            shared = first.setdefault(vector, (ranks, lengths))
+            assert ranks is shared[0] and lengths is shared[1]
+        assert decode(payload, header) == word
+
+    def test_count_vectors_are_keyed_after_the_repeat_reorder(self):
+        # contexts a and b are each followed by a 3 times and by b and c
+        # once: equal rows, but the repeat successor codes last, so their
+        # count tuples in code order differ
+        word = b"bbcbaaaabacba"
+        model = codec._successor_counts(word, 1, Alphabet.from_bytes(word))
+        assert model[0] == model[1] == {0: 3, 1: 1, 2: 1}
+        pairs = sorted(model[0].items())
+        assert codec._code_order(1, 0, pairs) == ((1, 2, 0), (1, 1, 3))
+        assert codec._code_order(1, 1, pairs) == ((0, 2, 1), (3, 1, 1))
+        payload, header = deserialize(compress(word, 1))
+        tables = payload._tables[2]
+        assert tables[0][1] != tables[1][1]
+        assert decode(payload, header) == word
+
+    def test_built_codes_price_the_encoded_stream(self):
+        rng = random.Random(53)
+        skewed = bytes(rng.choices(range(8), weights=range(1, 9), k=3000))
+        cases = [(skewed, n) for n in (1, 2, 3)]
+        cases += [(rng.randbytes(2000), 1), (SAMPLE_200, 2), (W9 * 5, 3)]
+        cases += [(LONG_CODE_WORD, 1), (TABLE_BITS_WORD, 1)]
+        for word, n in cases:
+            stream = encode(word, n)[0].stream
+            model = codec._successor_counts(word, n, Alphabet.from_bytes(word))
+            _, stream_bits = codec._build_codes(n, model, len(stream), "")
+            assert stream_bits == len(stream), (len(word), n)
 
     @pytest.mark.parametrize(
         "word, order",
