@@ -46,11 +46,11 @@ over the payload's own fields.  The decoder never sees the input.
 `deserialize` must build the decoder tables anyway, since the stream's
 length is only known from the codes; it hands them and the prefix indices
 to `decode` inside the payload, so `decompress` reads each component and
-builds the tables once.  Reading the model and building the tables is
-most of what decompressing costs on model-heavy input: 0.13 of 0.18 s of
-CPU on the benchmark's `random-bytes` workload and 1.10 of 1.42 s on
-`many-small` (seed 1, median of 5 passes, 2-vCPU x86-64 shared host,
-CPython 3.11.7).
+builds the tables once.  The build pops each context's counts as it makes
+that entry, freeing the model as the tables grow.  Reading the model and
+building the tables is most of the decompress CPU on model-heavy input:
+0.13 of 0.21 s on `random-bytes` and 1.30 of 1.76 s on `many-small` at
+seed 1 (median of 7 passes; 2-vCPU x86-64 shared host, CPython 3.11.7).
 
 Container wire format (all integers little-endian):
 
@@ -256,13 +256,14 @@ def _build_codes(
     order: int, counts: dict[int, dict[int, int]], available: int, truncated: str
 ) -> tuple[dict, int]:
     """Each context's decoder entry by context index, as the module
-    docstring describes, and the codeword stream's length in bits.  Raises
-    TruncationError(truncated) as soon as the codewords priced so far need
-    more than the `available` stream bits."""
+    docstring describes, and the stream's length in bits.  Empties `counts`,
+    popping each row as it builds its entry.  Raises TruncationError(truncated)
+    once the codewords priced so far need more than the `available` bits."""
     codes = {}
     shared: dict[tuple[int, ...], tuple] = {}
     stream_bits = 0
-    for j, row in counts.items():
+    while counts:
+        j, row = counts.popitem()
         if len(row) == 1:
             ((i, f),) = row.items()
             code = _LONE[i]
@@ -439,7 +440,8 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     # by every pair with the same (value, length)
     codewords: dict[int, str] = {}
     texts: dict[tuple[int, int], str] = {}
-    for j, row in counts.items():
+    while counts:  # each row popped, so the model is gone before the stream
+        j, row = counts.popitem()
         if len(row) == 1:
             codewords[j * m + next(iter(row))] = "0"
             continue
@@ -448,7 +450,6 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
             if text is None:
                 text = texts[value, length] = format(value, f"0{length}b")
             codewords[j * m + i] = text
-    del counts  # freed before the stream is emitted
 
     words = map(codewords.__getitem__, _pair_keys(word.translate(idx), m, n))
     stream = BitWriter()
@@ -479,7 +480,6 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         tables, _ = _build_codes(
             n, model, len(payload.stream), "codeword stream ended early"
         )
-        del model  # freed before the stream loop
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
     out = bytearray(head)
@@ -515,7 +515,8 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         j = (j % tail) * m + i
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
-    return bytes(out).translate(symbols)
+    out[:] = out.translate(symbols)  # in place: the output is held twice
+    return bytes(out)
 
 
 def leahn_length(word: bytes, order: int) -> int:
@@ -591,7 +592,6 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     tables, stream_bits = _build_codes(
         order, model, reader.remaining(), "container truncated inside the stream"
     )
-    del model  # freed before the stream is copied
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):
         raise TrailingGarbageError("container continues past the payload")

@@ -58,6 +58,22 @@ def _full_alphabet_word() -> bytes:
     return bytes(symbols)
 
 
+def _markov_text(seed: int, size: int) -> bytes:
+    """`size` bytes of an order-2 Markov source over 64 symbols: each
+    context has 12 successors in a random rank order, and rank r is drawn
+    with weight 1 / (r + 1)**1.1."""
+    rng = random.Random(seed)
+    weights = [1 / (r + 1) ** 1.1 for r in range(12)]
+    successors = [rng.sample(range(64), 12) for _ in range(64 * 64)]
+    a, b = rng.randrange(64), rng.randrange(64)
+    out = bytearray(size)
+    for p in range(size):
+        c = rng.choices(successors[a * 64 + b], weights)[0]
+        out[p] = 48 + c
+        a, b = b, c
+    return bytes(out)
+
+
 def _model_without_stream() -> bytes:
     """m = 13 at order 3: all 2,197 contexts are followed by all 13 symbols
     with Fibonacci counts, so every decoder table would hold 4,096
@@ -220,6 +236,21 @@ class TestDecode:
         payload, header = encode(b"a", 1)
         assert leahn_length(b"a", 1) == 1  # the lone all-zero context map bit
         assert decode(payload, header) == b"a"
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_decode_holds_its_output_twice(self, order):
+        # the index buffer it appends to and the returned copy, plus the
+        # stream and the buffer's growth slack; a third copy would pass 3x
+        word = _markov_text(72, 128 * 1024)
+        payload, header = deserialize(compress(word, order))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert decode(payload, header) == word
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3 * len(word)
 
     def test_short_input_components_checked(self):
         payload, header = encode(b"ab", 3)
@@ -441,6 +472,19 @@ class TestCompressPath:
         assert calls == ["_successor_counts"]
         assert decompress(blob) == SAMPLE_200
 
+    def test_encode_empties_the_model(self, monkeypatch):
+        models = []
+        original = codec._successor_counts
+
+        def kept(*args):
+            models.append(original(*args))
+            return models[-1]
+
+        monkeypatch.setattr(codec, "_successor_counts", kept)
+        payload, header = encode(SAMPLE_200, 2)
+        assert models == [{}]
+        assert decode(payload, header) == SAMPLE_200
+
     def test_key_chain_depth_does_not_grow_with_order(self):
         # an unpacked chain is two maps per digit: 512 at (1, 255)
         for m in range(1, 257):
@@ -598,6 +642,16 @@ class TestDecodeTables:
             model = codec._successor_counts(word, n, Alphabet.from_bytes(word))
             _, stream_bits = codec._build_codes(n, model, len(stream), "")
             assert stream_bits == len(stream), (len(word), n)
+            assert model == {}  # each row popped as its entry is built
+
+    def test_stream_peek_covers_table_bits(self):
+        # decode reads a table slot from a 3-byte peek shifted right by
+        # 24 - longest - (pos & 7), over the stream padded with two zero
+        # bytes; past 17 table bits the shift can go negative
+        assert codec.TABLE_BITS + 7 <= 24, (
+            "codec.decode's 3-byte stream peek holds TABLE_BITS + 7 bits at "
+            "most: a wider table needs a wider peek and more zero padding"
+        )
 
     @pytest.mark.parametrize(
         "word, order",
@@ -839,6 +893,19 @@ class TestContextBudget:
             tracemalloc.stop()
         assert decompress_peak < 2.5 * len(blob)
         assert compress_peak < 3.5 * len(blob)
+
+    def test_order_2_markov_decompress_peaks(self):
+        # the model read back is freed row by row as the tables are built,
+        # so the two are never held whole at once
+        word = _markov_text(71, 32 * 1024)
+        blob = compress(word, 2)
+        tracemalloc.start()
+        try:
+            assert decompress(blob) == word
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * len(blob)
 
     @pytest.mark.parametrize(
         "make, size, bound",
