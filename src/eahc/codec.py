@@ -46,11 +46,9 @@ over the payload's own fields.  The decoder never sees the input.
 `deserialize` must build the decoder tables anyway, since the stream's
 length is only known from the codes; it hands them and the prefix indices
 to `decode` inside the payload, so `decompress` reads each component and
-builds the tables once.  The build pops each context's counts as it makes
-that entry, freeing the model as the tables grow.  Reading the model and
-building the tables is most of the decompress CPU on model-heavy input:
-0.13 of 0.21 s on `random-bytes` and 1.30 of 1.76 s on `many-small` at
-seed 1 (median of 7 passes; 2-vCPU x86-64 shared host, CPython 3.11.7).
+builds the tables once.  `_read_v1` hands the rows over one at a time in
+reading order, so each is freed as its entry is built.  Reading the model
+and building the tables is most of the decompress CPU on model-heavy input.
 
 Container wire format (all integers little-endian):
 
@@ -72,11 +70,11 @@ The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
 MAX_CONTEXT_BITS possible contexts before it counts anything, so
 `encode`, `compress`, `leahn_length` and `graph.build_graph` share that
-budget.  `deserialize` takes none: `BitReader.read_bits` checks that the
-container holds a component's bits before it copies them, and
-`_build_codes` stops once its codewords need more stream bits than
-remain.  Only the model's per-context dicts can still outgrow a crafted
-container many times over.
+budget.  `deserialize` takes none: it refuses a header that claims more
+codewords than the container has bits, `BitReader.read_bits` checks that
+the container holds a component's bits before it copies them, and
+`_build_codes` stops once its codewords need more stream bits than remain.
+A valid container still pays one dict per marked context.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ class EahPayload:
         return sum(len(c) for c in self.components())
 
 
-def _code_order(order: int, context_index: int, pairs: list) -> tuple[tuple, tuple]:
+def _code_order(order: int, context_index: int, pairs: Iterable) -> tuple[tuple, tuple]:
     """One context's successor symbol indices in code order, and their
     counts.  pairs: (symbol index, frequency), symbol index ascending; at
     order 1 the diagonal entry is the repeat successor and codes last."""
@@ -184,27 +182,26 @@ def _pair_keys(t: bytes, m: int, n: int) -> Iterator[int]:
     No Python code runs per symbol: the keys come out of a chain of
     C-level `map`s.  Runs of w digits are first packed into bytes,
     P_2w[p] = P_w[p] * m**w + P_w[p + w], while m**(2w) <= 256; the chain
-    then adds the runs of the binary decomposition of n + 1, so it stays
-    a few levels deep at every order the budget allows.
+    then adds, from the widest run on, the widest packed run that still
+    fits in n + 1: the binary decomposition of n + 1, widest first, so it
+    stays a few levels deep at every order the budget allows.
     """
     width = n + 1
     widest = 1
     while 2 * widest <= width and m ** (2 * widest) <= 256:
         widest *= 2
-    # widths of packed runs that sum to width, widest first
-    runs = [widest] * (width // widest)
-    runs += [w for w in (widest >> k for k in range(1, widest.bit_length())) if width & w]
     packed = {1: t}
     w = 1
     while w < widest:
-        p = packed[w] if w in runs else packed.pop(w)
+        p = packed[w]
         packed[2 * w] = bytes(map(add, map(mul, p, repeat(m**w)), memoryview(p)[w:]))
         w *= 2
     keys: Iterator[int] = iter(packed[widest])
-    offset = widest
-    for w in runs[1:]:
-        keys = map(add, map(mul, keys, repeat(m**w)), memoryview(packed[w])[offset:])
-        offset += w
+    done = widest
+    while done < width:
+        w = max(v for v in packed if done + v <= width)
+        keys = map(add, map(mul, keys, repeat(m**w)), memoryview(packed[w])[done:])
+        done += w
     return keys
 
 
@@ -253,23 +250,22 @@ _LONE = [(1, b"\x00\x01", b"\x01\x00", bytes((i, i))) for i in range(256)]
 
 
 def _build_codes(
-    order: int, counts: dict[int, dict[int, int]], available: int, truncated: str
+    order: int, rows: Iterable[tuple[int, dict[int, int]]], available: int, truncated: str
 ) -> tuple[dict, int]:
-    """Each context's decoder entry by context index, as the module
-    docstring describes, and the stream's length in bits.  Empties `counts`,
-    popping each row as it builds its entry.  Raises TruncationError(truncated)
-    once the codewords priced so far need more than the `available` bits."""
+    """Decoder entries by context index, as the module docstring describes,
+    and the stream's length in bits, from `_read_v1`'s (context index, row)
+    pairs, rows in symbol order.  Raises TruncationError(truncated) once the
+    codewords priced so far need more than the `available` bits."""
     codes = {}
     shared: dict[tuple[int, ...], tuple] = {}
     stream_bits = 0
-    while counts:
-        j, row = counts.popitem()
+    for j, row in rows:
         if len(row) == 1:
             ((i, f),) = row.items()
             code = _LONE[i]
             stream_bits += f
         else:
-            syms, freqs = _code_order(order, j, sorted(row.items()))
+            syms, freqs = _code_order(order, j, row.items())
             if freqs not in shared:
                 shared[freqs] = _ranked_table(freqs)
             longest, ranks, lengths, cost = shared[freqs]
@@ -328,24 +324,23 @@ def _write_v1(
 ) -> tuple[BitString, BitString, BitString, BitString, int]:
     """The v1 writer: the prefix of `head`'s symbol indices, context_map,
     successor_map, freq_table and the frequency field width, laid out as
-    `_read_v1` reads them."""
+    `_read_v1` reads them, each count looked up by its map position."""
     m = len(header.alphabet)
     w = (m - 1).bit_length()
     set_js = sorted(counts)
     s = len(set_js)
-    # (successor_map position, count) of every marked pair, in map order
-    marked = sorted(
-        (i * s + r, f) for r, j in enumerate(set_js) for i, f in counts[j].items()
-    )
-    freq_width = max((f for _, f in marked), default=0).bit_length()
+    # successor_map positions of the marked pairs, i * s + r, in map order
+    marked = sorted(i * s + r for r, j in enumerate(set_js) for i in counts[j])
+    widest = max((f for row in counts.values() for f in row.values()), default=0)
+    freq_width = widest.bit_length()
     freq_table = BitWriter()
-    for _, f in marked:
-        freq_table.write_uint(f, freq_width)
+    for pos in marked:
+        freq_table.write_uint(counts[set_js[pos % s]][pos // s], freq_width)
     return (
         # w-bit fields, most significant first: the indices as a base-2**w number
         BitString.from_int(_context_index(head, 1 << w), len(head) * w),
         _bitmap(set_js, m**header.order),
-        _bitmap((pos for pos, _ in marked), m * s),
+        _bitmap(marked, m * s),
         freq_table.getvalue(),
         freq_width,
     )
@@ -353,9 +348,10 @@ def _write_v1(
 
 def _read_v1(
     header: Header, freq_width: int, read: Callable[[int, str], BitString]
-) -> tuple[bytes, dict[int, dict[int, int]]]:
-    """The v1 reader: the prefix's symbol indices and the context model,
-    each component taken by `read(bit_count, component_name)`.
+) -> tuple[bytes, Iterator[tuple[int, dict[int, int]]]]:
+    """The v1 reader: the prefix's symbol indices and, used up once, the
+    model's (context index, row) pairs, context index descending, each row
+    in symbol order; each component taken by `read(bit_count, component_name)`.
 
     Raises CorruptHeaderError unless the components are exactly what
     `_write_v1` makes of some input of h symbols, in which every alphabet
@@ -372,18 +368,13 @@ def _read_v1(
     s = len(set_js)
     marked = _scan_set_bits(read(m * s, "successor_map"))
     fields = read(freq_width * len(marked), "freq_table").to01()
-    freqs = (
-        list(map(int, re.findall(f".{{{freq_width}}}", fields), repeat(2)))
-        if freq_width
-        else []  # no fields at width 0
-    )
+    step = freq_width or 1  # at width 0 there are no fields: `fields` is empty
+    freqs = [int(fields[k : k + step], 2) for k in range(0, len(fields), step)]
     if 0 in freqs:
         raise CorruptHeaderError("marked successor with zero frequency")
     widest = max(freqs, default=0).bit_length()
     if widest != freq_width:
-        raise CorruptHeaderError(
-            f"frequency field width {freq_width}, expected {widest}"
-        )
+        raise CorruptHeaderError(f"frequency field width {freq_width}, expected {widest}")
     if sum(freqs) != max(header.length - n, 0):
         raise CorruptHeaderError(
             f"frequencies sum to {sum(freqs)}, expected {max(header.length - n, 0)}"
@@ -398,7 +389,7 @@ def _read_v1(
     if not all(rows):
         j = set_js[rows.index({})]
         raise CorruptHeaderError(f"context index {j} has no marked successor")
-    return head, dict(zip(set_js, rows))
+    return head, ((j, rows.pop()) for j in reversed(set_js))
 
 
 def _field_reader(payload: EahPayload) -> Callable[[int, str], BitString]:
@@ -476,9 +467,9 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     if cached is not None and cached[0] is header:
         _, head, tables = cached
     else:
-        head, model = _read_v1(header, payload.freq_width, _field_reader(payload))
+        head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
         tables, _ = _build_codes(
-            n, model, len(payload.stream), "codeword stream ended early"
+            n, rows, len(payload.stream), "codeword stream ended early"
         )
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
@@ -576,6 +567,8 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     (h,) = struct.unpack_from("<Q", blob, 7 + m)
     freq_width = blob[7 + m + 8]
     header = Header(order, alphabet, h)
+    if h - order > 8 * (len(blob) - end):  # a codeword takes a bit at least
+        raise TruncationError(f"container too short for {h - order} codewords")
 
     reader = BitReader(blob)
     reader.read_uint(8 * end)  # past the header, parsed above
@@ -588,9 +581,9 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
             raise TruncationError(f"container truncated inside the {name}") from None
         return bits
 
-    head, model = _read_v1(header, freq_width, read)
+    head, rows = _read_v1(header, freq_width, read)
     tables, stream_bits = _build_codes(
-        order, model, reader.remaining(), "container truncated inside the stream"
+        order, rows, reader.remaining(), "container truncated inside the stream"
     )
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):

@@ -1,5 +1,7 @@
 import ast
-import importlib
+import hashlib
+import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -126,3 +128,22 @@ def test_benchmark_names_resolve():
             module,
             function,
         )
+
+
+def test_benchmark_manifest_matches_containers(monkeypatch):
+    # every container the benchmark compresses at the manifest's seed must
+    # keep the bytes bench/manifest.json records for it
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    manifest = json.loads((bench / "manifest.json").read_text())
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules as they are made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, recorded in manifest["workloads"].items():
+        wl = workloads.make(name, manifest["seed"])
+        got = {
+            f"{rel}@{n}": hashlib.sha256(eahc.compress(wl.inputs[rel], n)).hexdigest()
+            for rel, n in wl.pairs()
+        }
+        assert got == recorded, name

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -346,9 +347,13 @@ class TestDecode:
         payload, header = encode(word, order)
         assert payload.freq_width == width
         assert len(payload.freq_table) > 8 * width  # fields cross byte boundaries
-        head, model = codec._read_v1(header, width, codec._field_reader(payload))
+        head, pairs = codec._read_v1(header, width, codec._field_reader(payload))
         assert head == word[:order].translate(codec._index_table(header.alphabet))
+        model = dict(pairs)
         assert model == codec._successor_counts(word, order, header.alphabet)
+        # context index descending, each row in symbol order
+        assert list(model) == sorted(model, reverse=True)
+        assert all(list(row) == sorted(row) for row in model.values())
         bits = payload.freq_table.to01()
         k = len(bits) // width // 2 * width  # the middle field
         zeroed = bits[:k] + "0" * width + bits[k + width :]
@@ -638,11 +643,12 @@ class TestDecodeTables:
         cases += [(rng.randbytes(2000), 1), (SAMPLE_200, 2), (W9 * 5, 3)]
         cases += [(LONG_CODE_WORD, 1), (TABLE_BITS_WORD, 1)]
         for word, n in cases:
-            stream = encode(word, n)[0].stream
-            model = codec._successor_counts(word, n, Alphabet.from_bytes(word))
-            _, stream_bits = codec._build_codes(n, model, len(stream), "")
-            assert stream_bits == len(stream), (len(word), n)
-            assert model == {}  # each row popped as its entry is built
+            payload, header = encode(word, n)
+            read = codec._field_reader(payload)
+            _, pairs = codec._read_v1(header, payload.freq_width, read)
+            _, stream_bits = codec._build_codes(n, pairs, len(payload.stream), "")
+            assert stream_bits == len(payload.stream), (len(word), n)
+            assert next(pairs, None) is None  # every pair taken as its entry is built
 
     def test_stream_peek_covers_table_bits(self):
         # decode reads a table slot from a 3-byte peek shifted right by
@@ -753,6 +759,19 @@ class TestContainer:
         for cut in (3, 10, len(blob) - 1):
             with pytest.raises(TruncationError):
                 deserialize(blob[:cut])
+
+    def test_length_beyond_the_container_refused_before_the_model(self, monkeypatch):
+        # every codeword takes a bit at least, so 2**40 symbols cannot fit
+        # in a few bytes; the header alone must refuse it
+        blob = bytearray(compress(W9, 1))
+        struct.pack_into("<Q", blob, 7 + len(set(W9)), 2**40)
+
+        def unreachable(*args):
+            raise AssertionError("_read_v1 ran")
+
+        monkeypatch.setattr(codec, "_read_v1", unreachable)
+        with pytest.raises(TruncationError):
+            decompress(bytes(blob))
 
     def test_trailing_bytes_rejected(self):
         blob = compress(W9, 1)
@@ -896,7 +915,8 @@ class TestContextBudget:
 
     def test_order_2_markov_decompress_peaks(self):
         # the model read back is freed row by row as the tables are built,
-        # so the two are never held whole at once
+        # so the two are never held whole at once, and the rows go over in
+        # reading order, with no dict of them and no re-sort
         word = _markov_text(71, 32 * 1024)
         blob = compress(word, 2)
         tracemalloc.start()
@@ -905,12 +925,37 @@ class TestContextBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * len(blob)
+        assert peak < 32 * len(blob)
+
+    def test_order_2_markov_compress_peaks(self):
+        # the frequency table is written from the successor map's positions
+        # as plain ints, with no (position, count) tuple per marked pair
+        word = _markov_text(71, 32 * 1024)
+        tracemalloc.start()
+        try:
+            compress(word, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 85 * len(word)
+
+    def test_order_2_random_bytes_decompress_peaks(self):
+        # 14,435 contexts, 12,655 of them with one successor and a shared
+        # entry, so the reader's rows and scratch set the peak
+        word = random.Random(16384).randbytes(16384)
+        blob = compress(word, 2)
+        tracemalloc.start()
+        try:
+            assert decompress(blob) == word
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(blob)
 
     @pytest.mark.parametrize(
         "make, size, bound",
         [
-            (_model_without_stream, 32_437, 8 << 20),
+            (_model_without_stream, 32_437, 64 << 10),
             (_context_map_without_successor_map, 8_466, 1 << 20),
         ],
         ids=["model-without-stream", "context-map-without-successor-map"],
