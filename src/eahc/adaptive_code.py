@@ -214,7 +214,7 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     pos = 0
     out = bytearray()
     for _ in range(count):
-        ctx = bytes(out[max(0, len(out) - table.order) :])
+        ctx = bytes(_context_at(out, len(out), table.order))
         if ctx not in table:
             raise TableIncompleteError(f"no column for context {ctx!r}")
         decoder, max_len = table._decoders[ctx]

@@ -9,14 +9,14 @@ is the transition graph of the paper; `graph.build_graph` and
 `graph.assign_codewords` are views of it and of `_successor_codes`, the
 Huffman code of one context, and ask this module for both numberings.
 
-Only the decoder keeps tables, one per distinct count tuple in code
-order, which fixes the code: `_build_codes` makes (L, ranks, lengths,
-cost), where slot v of the 2**L bytes `ranks` holds the rank of the
-codeword prefixing v (L is the longest codeword), `lengths[rank]` is 0
-for no codeword and cost is Σ f·length.  A context's entry adds `syms`,
-its successors in code order, which `decode` indexes by rank.  Past
-TABLE_BITS, `ranks` is a (value, length) -> rank dict that
-`adaptive_code._walk_codeword` walks.  Lone successors share `_LONE`.
+Only the decoder keeps tables, one per distinct count tuple in code order,
+which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost),
+where slot v of the 2**L bytes `ranks` holds the rank of the codeword
+prefixing v (L being the longest), `lengths[rank]` is 0 for no codeword
+and cost is Σ f·length.  A context's entry adds `syms`, its successors in
+code order, which `decode` indexes by rank.  Past TABLE_BITS, `ranks` is
+a (value, length) -> rank dict for `adaptive_code._walk_codeword`.  Lone
+successors share `_LONE`, which `_ranked_table` makes too.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -50,21 +50,21 @@ builds the tables once.  `_read_v1` hands the rows over one at a time in
 reading order, so each is freed as its entry is built.  Reading the model
 and building the tables is most of the decompress CPU on model-heavy input.
 
-Container wire format (all integers little-endian):
+Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
 
-    [4B] magic "EAH1"
-    [1B] version (1)
-    [1B] order n
-    [1B] alphabet size minus 1
-    [mB] alphabet bytes in index order
-    [8B] original length h
-    [1B] freq_table field width (0 when h <= n)
-    [..] payload bits prefix|context_map|successor_map|freq_table|stream,
-         packed MSB-first, final byte zero-padded
+    _LEAD  [4B] magic "EAH1"
+           [1B] version (1)
+           [1B] order n
+           [1B] alphabet size minus 1
+           [mB] alphabet bytes in index order
+    _TAIL  [8B] original length h
+           [1B] freq_table field width (0 when h <= n)
+           [..] payload bits prefix|context_map|successor_map|freq_table|
+                stream, packed MSB-first, final byte zero-padded
 
-`serialize` writes the header, packed with `struct`, and the five
-components through one `BitWriter` and returns its buffer, copied once;
-`deserialize` reads them in place, through one `BitReader` past the header.
+`serialize` writes the header and the five components through one
+`BitWriter` and returns its buffer, copied once; `deserialize` reads them
+in place, through one `BitReader` past the header.
 
 The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
@@ -100,6 +100,8 @@ from .huffman import code_pairs
 
 MAGIC = b"EAH1"
 VERSION = 1
+_LEAD = struct.Struct("<4s3B")  # magic, version, order, m - 1; then the alphabet
+_TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
@@ -230,14 +232,14 @@ def _successor_counts(
 
 def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int]:
     """(L, ranks, lengths, cost) of the code over `freqs`, as the module
-    docstring describes; a code over two or more counts fills every slot."""
+    docstring describes; a slot no codeword prefixes has rank len(freqs)."""
     codes = code_pairs(freqs)
-    lengths = bytes(length for _, length in codes)
+    lengths = bytes(length for _, length in codes) + bytes(1)
     longest = max(lengths)
     cost = sum(map(mul, freqs, lengths))
     if longest > TABLE_BITS:
         return longest, {code: r for r, code in enumerate(codes)}, lengths, cost
-    ranks = bytearray(1 << longest)
+    ranks = bytearray((min(len(codes), 255),)) * (1 << longest)  # 256 codes fill it
     for r, (value, length) in enumerate(codes):
         span = 1 << (longest - length)
         ranks[value * span : (value + 1) * span] = bytes((r,)) * span
@@ -245,8 +247,8 @@ def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int
 
 
 # a lone successor's codeword is "0" whatever its count, so its entry
-# depends only on its symbol index; slot 1 has rank 1, of length 0
-_LONE = [(1, b"\x00\x01", b"\x01\x00", bytes((i, i))) for i in range(256)]
+# depends only on its symbol index
+_LONE = [_ranked_table((1,))[:3] + (bytes((i,)),) for i in range(256)]
 
 
 def _build_codes(
@@ -480,30 +482,29 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     data = payload.stream.to_bytes() + b"\x00\x00"
     pos = 0
     tail = m ** (n - 1)
-    tables_get = tables.get
     from_bytes = int.from_bytes
     append = out.append
-    for _ in range(h - n):
-        context = tables_get(j)
-        if context is None:
-            raise CorruptStreamError(f"no code table for context index {j}")
-        longest, ranks, lengths, syms = context
-        if longest <= TABLE_BITS:
-            p = pos >> 3
-            r = ranks[
-                (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
-                & ((1 << longest) - 1)
-            ]
-            if not (length := lengths[r]):
-                raise CorruptStreamError(f"undecodable codeword in context {j}")
-            pos += length
-        else:
-            r, pos = _walk_codeword(ranks, longest, data, pos, nbits, j)
-        i = syms[r]
-        if pos > nbits:
-            raise TruncationError("codeword stream ended early")
-        append(i)
-        j = (j % tail) * m + i
+    try:  # only the table lookup can raise KeyError
+        for _ in range(h - n):
+            longest, ranks, lengths, syms = tables[j]
+            if longest <= TABLE_BITS:
+                p = pos >> 3
+                r = ranks[
+                    (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
+                    & ((1 << longest) - 1)
+                ]
+                if not (length := lengths[r]):
+                    raise CorruptStreamError(f"undecodable codeword in context {j}")
+                pos += length
+            else:
+                r, pos = _walk_codeword(ranks, longest, data, pos, nbits, j)
+            i = syms[r]
+            if pos > nbits:
+                raise TruncationError("codeword stream ended early")
+            append(i)
+            j = (j % tail) * m + i
+    except KeyError:
+        raise CorruptStreamError(f"no code table for context index {j}") from None
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
     out[:] = out.translate(symbols)  # in place: the output is held twice
@@ -530,8 +531,8 @@ def serialize(payload: EahPayload, header: Header) -> bytes:
     alphabet = header.alphabet.to_bytes()
     if list(alphabet) != sorted(alphabet):
         raise ValueError(f"alphabet must be in ascending byte order, got {alphabet!r}")
-    fixed = struct.pack("<4s3B", MAGIC, VERSION, header.order, len(alphabet) - 1)
-    fixed += alphabet + struct.pack("<QB", header.length, payload.freq_width)
+    fixed = _LEAD.pack(MAGIC, VERSION, header.order, len(alphabet) - 1)
+    fixed += alphabet + _TAIL.pack(header.length, payload.freq_width)
     bits = BitWriter()
     for component in (BitString(fixed, 8 * len(fixed)), *payload.components()):
         bits.write_bits(component)
@@ -547,25 +548,24 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     prefix indices and those decoder tables travel with the payload, so
     `decode` of the same payload and header reads no component again.
     """
-    if len(blob) < 7:
+    if len(blob) < _LEAD.size:
         raise TruncationError("container shorter than its fixed header")
-    if blob[:4] != MAGIC:
-        raise CorruptHeaderError(f"bad magic {blob[:4]!r}")
-    version, order, m_minus_1 = struct.unpack_from("<BBB", blob, 4)
+    magic, version, order, m_minus_1 = _LEAD.unpack_from(blob)
+    if magic != MAGIC:
+        raise CorruptHeaderError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptHeaderError(f"unsupported version {version}")
     if order < 1:
         raise CorruptHeaderError("order must be >= 1")
-    m = m_minus_1 + 1
-    end = 7 + m + 9
+    tail = _LEAD.size + m_minus_1 + 1  # _TAIL's offset, past the alphabet
+    end = tail + _TAIL.size
     if len(blob) < end:
         raise TruncationError("container truncated inside the header")
-    symbols = blob[7 : 7 + m]
+    symbols = blob[_LEAD.size : tail]
     if list(symbols) != sorted(set(symbols)):  # encode writes them ascending
         raise CorruptHeaderError("alphabet bytes are not strictly ascending")
     alphabet = Alphabet(symbols)
-    (h,) = struct.unpack_from("<Q", blob, 7 + m)
-    freq_width = blob[7 + m + 8]
+    h, freq_width = _TAIL.unpack_from(blob, tail)
     header = Header(order, alphabet, h)
     if h - order > 8 * (len(blob) - end):  # a codeword takes a bit at least
         raise TruncationError(f"container too short for {h - order} codewords")

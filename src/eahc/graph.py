@@ -11,15 +11,16 @@ symbol is routed through a companion aux vertex instead of a self-loop;
 the aux return edge and, for n >= 2, the symbol-to-window linking edges
 are structural only (frequency 0, empty codeword).
 
-A string no longer than n yields the empty graph.  Construction is
-single-owner; once codewords are assigned the graph is effectively
-immutable and shareable.
+The graph stores only its labelled edges; V is the set of their
+endpoints, and a string no longer than n yields the empty graph.
+Construction is single-owner; once codewords are assigned the graph is
+effectively immutable and shareable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codec
 from .adaptive_code import Alphabet
@@ -47,15 +48,18 @@ class Vertex:
 @dataclass(slots=True)
 class EdgeLabel:
     frequency: int = 0
-    codeword: BitString = field(default_factory=lambda: EMPTY)
+    codeword: BitString = EMPTY
 
 
 class AdaptiveGraph:
     def __init__(self, order: int, alphabet: Alphabet | None):
         self.order = order
         self.alphabet = alphabet
-        self.vertices: set[Vertex] = set()
         self.labels: dict[Edge, EdgeLabel] = {}
+
+    @property
+    def vertices(self) -> set[Vertex]:  # V: the endpoints of the edges
+        return {v for edge in self.labels for v in edge}
 
     def transition_edges(self) -> list[Edge]:
         """Edges that carry a frequency: window->symbol plus, for order 1,
@@ -81,10 +85,6 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     symbols = g.alphabet.to_bytes()
     m = len(symbols)
 
-    def add_edge(src: Vertex, dst: Vertex, frequency: int = 0) -> None:
-        g.vertices.update((src, dst))
-        g.labels[(src, dst)] = EdgeLabel(frequency)
-
     first = codec._context_index(map(g.alphabet.index, word[:n]), m)
     for j, row in codec._successor_counts(word, n, g.alphabet).items():
         window = bytes(symbols[i] for i in codec._window(j, m, n))
@@ -93,14 +93,14 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
             succ = Vertex(symbols[i : i + 1])
             if n == 1 and i == j:
                 aux = Vertex(window, aux=True)
-                add_edge(succ, aux, f)
-                add_edge(aux, succ)
+                g.labels[(succ, aux)] = EdgeLabel(f)
+                g.labels[(aux, succ)] = EdgeLabel()
             else:
-                add_edge(context, succ, f)
+                g.labels[(context, succ)] = EdgeLabel(f)
         # a window starting after position 0 is entered from its last
         # symbol; the first window starts there, so it needs a second start
         if n >= 2 and (j != first or sum(row.values()) > 1):
-            add_edge(Vertex(window[-1:]), context)
+            g.labels[(Vertex(window[-1:]), context)] = EdgeLabel()
     return g
 
 

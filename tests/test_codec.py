@@ -4,6 +4,7 @@ import hashlib
 import random
 import struct
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -621,6 +622,39 @@ class TestDecodeTables:
             assert ranks is shared[0] and lengths is shared[1]
         assert decode(payload, header) == word
 
+    def test_long_codewords_of_the_package_sources(self):
+        # real text reaches the bitwise fallback: at order 1 the rarest
+        # successors of common characters take more than TABLE_BITS bits
+        paths = sorted(Path(codec.__file__).parent.glob("*.py"))
+        paths += sorted(Path(__file__).parent.glob("*.py"))
+        word = b"".join(path.read_bytes() for path in paths)
+        for n in (1, 2):
+            payload, header = deserialize(compress(word, n))
+            if n == 1:
+                longest = max(entry[0] for entry in payload._tables[2].values())
+                assert longest > codec.TABLE_BITS
+            assert decode(payload, header) == word, n
+
+    @pytest.mark.parametrize("f", [1, 5])
+    def test_lone_entries_come_from_the_ranked_table(self, f):
+        # one codeword "0" leaves slot 1 unprefixed: rank 1, of length 0
+        table = codec._ranked_table((f,))
+        assert table == (1, b"\x00\x01", b"\x01\x00", f)
+        for i, entry in enumerate(codec._LONE):
+            assert entry[:3] == table[:3] and entry[3][0] == i
+
+    def test_missing_context_named(self):
+        # prefix "ab" enters context 1, whose lone successor a leads to
+        # context 2, which has no row
+        header = Header(2, Alphabet(b"ab"), 4)
+        *fields, width = codec._write_v1(header, bytes((0, 1)), {1: {0: 2}})
+        payload = EahPayload(*fields, BitString.from_int(0, 2), width)
+        message = "no code table for context index 2"
+        with pytest.raises(CorruptStreamError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptStreamError, match=message):
+            decompress(serialize(payload, header))
+
     def test_count_vectors_are_keyed_after_the_repeat_reorder(self):
         # contexts a and b are each followed by a 3 times and by b and c
         # once: equal rows, but the repeat successor codes last, so their
@@ -756,7 +790,8 @@ class TestContainer:
 
     def test_truncated_container(self):
         blob = compress(W9, 1)
-        for cut in (3, 10, len(blob) - 1):
+        header_end = 7 + len(set(W9)) + 9  # fixed fields, alphabet, h and width
+        for cut in (*range(header_end + 1), len(blob) - 1):
             with pytest.raises(TruncationError):
                 deserialize(blob[:cut])
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eahc.graph import Vertex, assign_codewords, build_graph, export_dot
+from eahc.graph import EdgeLabel, Vertex, assign_codewords, build_graph, export_dot
 from oracles import SAMPLE_200, reference_dot, scan_transition_counts
 
 
@@ -98,6 +98,16 @@ class TestBuildGraphGeneral:
                 tails = {word[j : j + 1] for j in range(n, len(word))}
                 base_keys = {v.key for v in g.vertices if not v.aux}
                 assert base_keys == windows | tails
+
+    def test_vertices_are_the_edge_endpoints(self):
+        for word in (W9, SAMPLE_200):
+            for n in (1, 2, 3):
+                g = build_graph(word, n)
+                assert g.vertices == {v for edge in g.labels for v in edge}, n
+        # a label added after the build brings its endpoints into V
+        src, dst = Vertex(b"new"), Vertex(b"q", aux=True)
+        g.labels[(src, dst)] = EdgeLabel(1)
+        assert {src, dst} <= g.vertices
 
     def test_frequency_scan_oracle(self):
         rng = random.Random(33)
