@@ -146,14 +146,13 @@ def extend(table: CodeTable, word: bytes) -> BitString:
     out = BitWriter()
     for t, sym in enumerate(word):
         ctx = _context_at(word, t, table.order)
-        if ctx not in table:
+        if (column := table._contexts.get(ctx)) is None:
             raise TableIncompleteError(f"no column for context {ctx!r}")
-        column = table.context(ctx)
-        if sym not in column:
+        if (code := column.get(sym)) is None:
             raise TableIncompleteError(
                 f"no codeword for symbol {sym} in context {ctx!r}"
             )
-        out.write_bits(column[sym])
+        out.write_bits(code)
     return out.getvalue()
 
 
@@ -213,13 +212,14 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     nbits = len(bits)
     pos = 0
     out = bytearray()
-    for _ in range(count):
-        ctx = bytes(_context_at(out, len(out), table.order))
-        if ctx not in table:
-            raise TableIncompleteError(f"no column for context {ctx!r}")
-        decoder, max_len = table._decoders[ctx]
-        sym, pos = _walk_codeword(decoder, max_len, data, pos, nbits, ctx)
-        out.append(sym)
+    try:  # only the decoder lookup can raise KeyError: it is the context check
+        for _ in range(count):
+            ctx = bytes(_context_at(out, len(out), table.order))
+            decoder, max_len = table._decoders[ctx]
+            sym, pos = _walk_codeword(decoder, max_len, data, pos, nbits, ctx)
+            out.append(sym)
+    except KeyError:
+        raise TableIncompleteError(f"no column for context {ctx!r}") from None
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after {count} symbols")
     return bytes(out)

@@ -10,13 +10,13 @@ is the transition graph of the paper; `graph.build_graph` and
 Huffman code of one context, and ask this module for both numberings.
 
 Only the decoder keeps tables, one per distinct count tuple in code order,
-which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost),
-where slot v of the 2**L bytes `ranks` holds the rank of the codeword
-prefixing v (L being the longest), `lengths[rank]` is 0 for no codeword
-and cost is Σ f·length.  A context's entry adds `syms`, its successors in
-code order, which `decode` indexes by rank.  Past TABLE_BITS, `ranks` is
-a (value, length) -> rank dict for `adaptive_code._walk_codeword`.  Lone
-successors share `_LONE`, which `_ranked_table` makes too.
+which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost).
+Slot v of the 2**L bytes `ranks` holds the rank of the codeword prefixing
+v (L being the longest), or len(lengths) if none does; `lengths` holds
+one length per codeword and cost is Σ f·length.  A context's entry adds
+`syms`, its successors in code order, which `decode` indexes by rank.
+Past TABLE_BITS, `ranks` is a (value, length) -> rank dict for
+`adaptive_code._walk_codeword`.  Lone successors share `_LONE`.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -232,9 +232,9 @@ def _successor_counts(
 
 def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int]:
     """(L, ranks, lengths, cost) of the code over `freqs`, as the module
-    docstring describes; a slot no codeword prefixes has rank len(freqs)."""
+    docstring describes: a slot no codeword prefixes ranks past `lengths`."""
     codes = code_pairs(freqs)
-    lengths = bytes(length for _, length in codes) + bytes(1)
+    lengths = bytes(length for _, length in codes)
     longest = max(lengths)
     cost = sum(map(mul, freqs, lengths))
     if longest > TABLE_BITS:
@@ -252,12 +252,12 @@ _LONE = [_ranked_table((1,))[:3] + (bytes((i,)),) for i in range(256)]
 
 
 def _build_codes(
-    order: int, rows: Iterable[tuple[int, dict[int, int]]], available: int, truncated: str
+    order: int, rows: Iterable[tuple[int, dict[int, int]]], available: int
 ) -> tuple[dict, int]:
     """Decoder entries by context index, as the module docstring describes,
     and the stream's length in bits, from `_read_v1`'s (context index, row)
-    pairs, rows in symbol order.  Raises TruncationError(truncated) once the
-    codewords priced so far need more than the `available` bits."""
+    pairs, rows in symbol order.  Raises TruncationError once the codewords
+    priced so far need more than the `available` stream bits."""
     codes = {}
     shared: dict[tuple[int, ...], tuple] = {}
     stream_bits = 0
@@ -275,7 +275,7 @@ def _build_codes(
             stream_bits += cost
         codes[j] = code
         if stream_bits > available:
-            raise TruncationError(truncated)
+            raise TruncationError(f"stream needs more than the {available} bits left")
     return codes, stream_bits
 
 
@@ -470,9 +470,7 @@ def decode(payload: EahPayload, header: Header) -> bytes:
         _, head, tables = cached
     else:
         head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
-        tables, _ = _build_codes(
-            n, rows, len(payload.stream), "codeword stream ended early"
-        )
+        tables, _ = _build_codes(n, rows, len(payload.stream))
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
     out = bytearray(head)
@@ -484,7 +482,7 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     tail = m ** (n - 1)
     from_bytes = int.from_bytes
     append = out.append
-    try:  # only the table lookup can raise KeyError
+    try:  # only tables[j] and lengths[r] can raise: each lookup is its check
         for _ in range(h - n):
             longest, ranks, lengths, syms = tables[j]
             if longest <= TABLE_BITS:
@@ -493,9 +491,7 @@ def decode(payload: EahPayload, header: Header) -> bytes:
                     (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
                     & ((1 << longest) - 1)
                 ]
-                if not (length := lengths[r]):
-                    raise CorruptStreamError(f"undecodable codeword in context {j}")
-                pos += length
+                pos += lengths[r]
             else:
                 r, pos = _walk_codeword(ranks, longest, data, pos, nbits, j)
             i = syms[r]
@@ -503,8 +499,10 @@ def decode(payload: EahPayload, header: Header) -> bytes:
                 raise TruncationError("codeword stream ended early")
             append(i)
             j = (j % tail) * m + i
-    except KeyError:
+    except KeyError:  # context j has no row
         raise CorruptStreamError(f"no code table for context index {j}") from None
+    except IndexError:  # no codeword prefixes the slot, as in `_LONE`'s slot 1
+        raise CorruptStreamError(f"undecodable codeword in context {j}") from None
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
     out[:] = out.translate(symbols)  # in place: the output is held twice
@@ -582,9 +580,7 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
         return bits
 
     head, rows = _read_v1(header, freq_width, read)
-    tables, stream_bits = _build_codes(
-        order, rows, reader.remaining(), "container truncated inside the stream"
-    )
+    tables, stream_bits = _build_codes(order, rows, reader.remaining())
     read(stream_bits, "stream")
     if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):
         raise TrailingGarbageError("container continues past the payload")

@@ -110,14 +110,14 @@ def assign_codewords(g: AdaptiveGraph) -> None:
     Each context window gets the codec's prefix code over its successor
     frequencies.  Structural edges keep the empty codeword.
     """
-    by_context: dict[Vertex, dict[int, Edge]] = {}
-    for e in g.transition_edges():
-        by_context.setdefault(e[0], {})[g.alphabet.index(e[1].key[0])] = e
+    by_context: dict[Vertex, dict[int, EdgeLabel]] = {}
+    for src, dst in g.transition_edges():
+        by_context.setdefault(src, {})[g.alphabet.index(dst.key[0])] = g.labels[src, dst]
     for src, row in by_context.items():
-        pairs = [(i, g.labels[row[i]].frequency) for i in sorted(row)]
+        pairs = [(i, row[i].frequency) for i in sorted(row)]
         j = codec._context_index(map(g.alphabet.index, src.key), len(g.alphabet))
         for i, value, length in codec._successor_codes(g.order, j, pairs):
-            g.labels[row[i]].codeword = BitString.from_int(value, length)
+            row[i].codeword = BitString.from_int(value, length)
 
 
 def export_dot(g: AdaptiveGraph) -> str:

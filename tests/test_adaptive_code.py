@@ -72,6 +72,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet.from_bytes(b"")
 
+    def test_equality_hash_and_repr(self):
+        assert Alphabet(b"ab") != b"ab"
+        assert Alphabet(b"ab") == Alphabet([97, 98])
+        assert hash(Alphabet(b"ab")) == hash(Alphabet([97, 98]))
+        assert repr(Alphabet(b"ab")) == "Alphabet([97, 98])"
+
 
 class TestCodeTable:
     @pytest.mark.parametrize(
@@ -94,6 +100,13 @@ class TestCodeTable:
     def test_rejects_malformed_tables(self, order, columns):
         with pytest.raises(ValueError):
             make_table(columns, order=order)
+
+    def test_membership_and_read_only_columns(self, table1):
+        assert b"" in table1 and b"ab" in table1 and b"abc" not in table1
+        column = table1.context(b"ab")
+        assert column[A] == BitString.from_str("11")
+        with pytest.raises(TypeError):
+            column[A] = EMPTY
 
 
 class TestExtend:

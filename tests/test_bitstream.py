@@ -46,6 +46,11 @@ class TestBitString:
         assert BitString.from_str("101") == BitString.from_str("101")
         assert BitString.from_str("101") != BitString.from_str("1010")
         assert hash(BitString.from_str("101")) == hash(BitString.from_str("101"))
+        assert BitString.from_int(0, 1) != "0"
+
+    def test_repr_elides_long_strings(self):
+        assert repr(BitString.from_str("101")) == "BitString('101')"
+        assert repr(BitString.from_int(0, 65)) == "BitString(<65 bits>)"
 
 
 class TestReaderWriter:

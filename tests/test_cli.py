@@ -1,5 +1,9 @@
+import runpy
+import sys
+
 import pytest
 
+from eahc import codec
 from eahc.cli import main
 from oracles import SAMPLE_200
 
@@ -176,3 +180,28 @@ class TestBench:
         (corpus / "bad.bin").write_bytes(b"")
         assert main(["bench", str(corpus), "--csv", str(tmp_path / "x.csv")]) != 0
         assert "bad.bin" in capsys.readouterr().err
+
+
+class TestRoundTripCheck:
+    @pytest.mark.parametrize("command", ["stats", "bench"])
+    def test_failed_round_trip_exits_1(
+        self, tmp_path, sample_file, monkeypatch, capsys, command
+    ):
+        # stats and bench both check each encode through `_bench_rows`
+        monkeypatch.setattr(codec, "decompress", lambda blob: b"altered")
+        if command == "stats":
+            argv = ["stats", "-i", str(sample_file)]
+        else:
+            argv = ["bench", str(tmp_path), "--csv", str(tmp_path / "bench.csv")]
+        assert main(argv) == 1
+        assert "round-trip failed" in capsys.readouterr().err
+
+
+def test_module_runs_as_main(monkeypatch, capsys):
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "eahc.cli")
+    monkeypatch.setattr(sys, "argv", ["eahc", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("eahc.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eahc")

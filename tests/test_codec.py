@@ -637,11 +637,23 @@ class TestDecodeTables:
 
     @pytest.mark.parametrize("f", [1, 5])
     def test_lone_entries_come_from_the_ranked_table(self, f):
-        # one codeword "0" leaves slot 1 unprefixed: rank 1, of length 0
+        # one codeword "0" leaves slot 1 unprefixed: rank 1, past `lengths`
         table = codec._ranked_table((f,))
-        assert table == (1, b"\x00\x01", b"\x01\x00", f)
+        assert table == (1, b"\x00\x01", b"\x01", f)
         for i, entry in enumerate(codec._LONE):
             assert entry[:3] == table[:3] and entry[3][0] == i
+
+    def test_undecodable_slot_named(self):
+        # context 0 (a) has the lone successor b, coded "0": the stream "1"
+        # reads slot 1, which no codeword prefixes
+        payload, header = encode(b"ab", 1)
+        assert payload.stream == BitString.from_str("0")
+        payload = dataclasses.replace(payload, stream=BitString.from_str("1"))
+        message = "undecodable codeword in context 0"
+        with pytest.raises(CorruptStreamError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptStreamError, match=message):
+            decompress(serialize(payload, header))
 
     def test_missing_context_named(self):
         # prefix "ab" enters context 1, whose lone successor a leads to
@@ -680,7 +692,7 @@ class TestDecodeTables:
             payload, header = encode(word, n)
             read = codec._field_reader(payload)
             _, pairs = codec._read_v1(header, payload.freq_width, read)
-            _, stream_bits = codec._build_codes(n, pairs, len(payload.stream), "")
+            _, stream_bits = codec._build_codes(n, pairs, len(payload.stream))
             assert stream_bits == len(payload.stream), (len(word), n)
             assert next(pairs, None) is None  # every pair taken as its entry is built
 
