@@ -14,9 +14,12 @@ which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost).
 Slot v of the 2**L bytes `ranks` holds the rank of the codeword prefixing
 v (L being the longest), or len(lengths) if none does; `lengths` holds
 one length per codeword and cost is Σ f·length.  A context's entry adds
-`syms`, its successors in code order, which `decode` indexes by rank.
-Past TABLE_BITS, `ranks` is a (value, length) -> rank dict for
-`adaptive_code._walk_codeword`.  Lone successors share `_LONE`.
+`syms`, its successors in code order; lone successors share `_LONE`.
+`decode` loads _REFILL stream bits at a time into one int when fewer
+than L are unread.  Past TABLE_BITS, `ranks` is a (value, length) ->
+rank dict for `_walk_codeword`, after which the int restarts at the
+walk's end.  Past the stream it reads zeros; `_build_codes` bounds the
+h - n steps, and one test after them finds a truncation.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -103,6 +106,8 @@ VERSION = 1
 _LEAD = struct.Struct("<4s3B")  # magic, version, order, m - 1; then the alphabet
 _TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
+_REFILL = 48  # stream bits `decode` loads at once: at least TABLE_BITS
+_PAD = bytes(_REFILL // 8)  # zeros past the stream, so every load reads in full
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
@@ -476,33 +481,33 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     out = bytearray(head)
     j = _context_index(head, m)
     nbits = len(payload.stream)
-    # two zero bytes let every 3-byte peek at pos <= nbits read in full
-    data = payload.stream.to_bytes() + b"\x00\x00"
-    pos = 0
+    data = payload.stream.to_bytes() + _PAD
+    acc = nacc = p = 0  # acc's low nacc bits are unread; p is the next byte
     tail = m ** (n - 1)
-    from_bytes = int.from_bytes
     append = out.append
     try:  # only tables[j] and lengths[r] can raise: each lookup is its check
         for _ in range(h - n):
             longest, ranks, lengths, syms = tables[j]
             if longest <= TABLE_BITS:
-                p = pos >> 3
-                r = ranks[
-                    (from_bytes(data[p : p + 3], "big") >> (24 - longest - (pos & 7)))
-                    & ((1 << longest) - 1)
-                ]
-                pos += lengths[r]
+                if nacc < longest:
+                    acc = (acc & ((1 << nacc) - 1)) << _REFILL
+                    acc |= int.from_bytes(data[p : p + _REFILL // 8], "big")
+                    p, nacc = p + _REFILL // 8, nacc + _REFILL
+                r = ranks[(acc >> (nacc - longest)) & ((1 << longest) - 1)]
+                nacc -= lengths[r]
             else:
-                r, pos = _walk_codeword(ranks, longest, data, pos, nbits, j)
+                r, pos = _walk_codeword(ranks, longest, data, 8 * p - nacc, nbits, j)
+                p, nacc, acc = (pos >> 3) + 1, 8 - (pos & 7), data[pos >> 3]
             i = syms[r]
-            if pos > nbits:
-                raise TruncationError("codeword stream ended early")
             append(i)
             j = (j % tail) * m + i
-    except KeyError:  # context j has no row
-        raise CorruptStreamError(f"no code table for context index {j}") from None
-    except IndexError:  # no codeword prefixes the slot, as in `_LONE`'s slot 1
-        raise CorruptStreamError(f"undecodable codeword in context {j}") from None
+    except (KeyError, IndexError) as e:  # past the stream, the test below raises
+        if 8 * p - nacc <= nbits:  # no row for j, or a slot no codeword prefixes
+            if isinstance(e, KeyError):
+                raise CorruptStreamError(f"no code table for context index {j}") from None
+            raise CorruptStreamError(f"undecodable codeword in context {j}") from None
+    if (pos := 8 * p - nacc) > nbits:
+        raise TruncationError("codeword stream ended early")
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
     out[:] = out.translate(symbols)  # in place: the output is held twice

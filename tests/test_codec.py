@@ -109,6 +109,28 @@ REFERENCE_ERRORS = {
 }
 
 
+def _flip(bits: str, *positions: int) -> str:
+    """`bits`, a '0'/'1' string, with the bits at `positions` inverted."""
+    out = list(bits)
+    for k in positions:
+        out[k] = "10"[int(out[k])]
+    return "".join(out)
+
+
+def _assert_decodes_like_reference(payload, header, streams):
+    """`decode` of `payload` with each of `streams` in place of its own
+    gives the bytes, or raises the error class, that
+    `reference_stream_decode` gives."""
+    for stream in streams:
+        damaged = dataclasses.replace(payload, stream=BitString.from_str(stream))
+        expected = reference_stream_decode(damaged, header)
+        if isinstance(expected, bytes):
+            assert decode(damaged, header) == expected
+        else:
+            with pytest.raises(REFERENCE_ERRORS[expected]):
+                decode(damaged, header)
+
+
 class TestEncodeGoldens:
     def test_w9_components(self):
         payload, header = encode(W9, 1)
@@ -696,14 +718,12 @@ class TestDecodeTables:
             assert stream_bits == len(payload.stream), (len(word), n)
             assert next(pairs, None) is None  # every pair taken as its entry is built
 
-    def test_stream_peek_covers_table_bits(self):
-        # decode reads a table slot from a 3-byte peek shifted right by
-        # 24 - longest - (pos & 7), over the stream padded with two zero
-        # bytes; past 17 table bits the shift can go negative
-        assert codec.TABLE_BITS + 7 <= 24, (
-            "codec.decode's 3-byte stream peek holds TABLE_BITS + 7 bits at "
-            "most: a wider table needs a wider peek and more zero padding"
-        )
+    def test_refill_covers_table_bits(self):
+        # decode loads the stream _REFILL bits at a time, once, whenever
+        # fewer unread bits are left than the table's longest codeword; the
+        # zero padding lets every load up to the stream's end read in full
+        assert codec.TABLE_BITS <= codec._REFILL and codec._REFILL % 8 == 0
+        assert codec._PAD == bytes(codec._REFILL // 8)
 
     @pytest.mark.parametrize(
         "word, order",
@@ -720,19 +740,60 @@ class TestDecodeTables:
         payload, header = encode(word, order)
         bits = payload.stream.to01()
         rng = random.Random(45)
-        streams = []
-        for k in rng.sample(range(len(bits)), min(len(bits), 200)):
-            streams.append(BitString.from_str(bits[:k]))
-            flipped = bits[:k] + "10"[int(bits[k])] + bits[k + 1 :]
-            streams.append(BitString.from_str(flipped))
-        for stream in streams:
-            damaged = dataclasses.replace(payload, stream=stream)
-            expected = reference_stream_decode(damaged, header)
-            if isinstance(expected, bytes):
-                assert decode(damaged, header) == expected
-            else:
-                with pytest.raises(REFERENCE_ERRORS[expected]):
-                    decode(damaged, header)
+        positions = set(rng.sample(range(len(bits)), min(len(bits), 200)))
+        # and every bit of the last 64, where decode's loads reach the padding
+        positions.update(range(max(len(bits) - 64, 0), len(bits)))
+        streams = [damaged for k in sorted(positions) for damaged in (bits[:k], _flip(bits, k))]
+        _assert_decodes_like_reference(payload, header, streams)
+
+    def test_zeros_past_the_stream_are_a_truncation(self):
+        # bb ends the input, so its context, index 5, has no row.  With bits
+        # 22 and 25 flipped, the last codeword takes one zero bit past the
+        # stream and decodes into bb: the stream ran out before the lookup
+        # of context 5 failed
+        payload, header = encode(b"dcdaccccabdcaabdccdbcdbddabb", 2)
+        flipped = _flip(payload.stream.to01(), 22, 25)
+        damaged = dataclasses.replace(payload, stream=BitString.from_str(flipped))
+        assert reference_stream_decode(damaged, header) == "truncated"
+        with pytest.raises(TruncationError):
+            decode(damaged, header)
+        with pytest.raises(TruncationError):
+            decompress(serialize(damaged, header))
+        # one more zero bit moves that failed lookup inside the stream
+        longer = dataclasses.replace(payload, stream=BitString.from_str(flipped + "0"))
+        assert reference_stream_decode(longer, header) == "corrupt"
+        with pytest.raises(CorruptStreamError, match="no code table for context index 5"):
+            decode(longer, header)
+
+    def test_table_path_resumes_after_long_codewords(self):
+        # every codeword of LONG_CODE_WORD's context 0 is walked bit by bit,
+        # and every other context is a lone one, read through its table
+        payload, header = deserialize(compress(LONG_CODE_WORD, 1))
+        tables = payload._tables[2]
+        assert tables[0][0] > codec.TABLE_BITS
+        assert all(tables[j][0] <= codec.TABLE_BITS for j in tables if j != 0)
+        model = codec._successor_counts(LONG_CODE_WORD, 1, header.alphabet)
+        lengths = {
+            (j, i): length
+            for j, row in model.items()
+            for i, _, length in codec._successor_codes(1, j, sorted(row.items()))
+        }
+        ends = {}  # bit offset within a byte -> first walk that ends there
+        pos = 0
+        for j, i in zip(LONG_CODE_WORD, LONG_CODE_WORD[1:]):  # index == byte
+            pos += lengths[j, i]
+            if j == 0:
+                ends.setdefault(pos & 7, pos)
+        assert pos == len(payload.stream) and sorted(ends) == list(range(8))
+        assert decode(payload, header) == LONG_CODE_WORD
+        # flip the walk's last two bits and the first three read after it
+        bits = payload.stream.to01()
+        streams = [
+            _flip(bits, k)
+            for end in ends.values()
+            for k in range(end - 2, min(end + 3, len(bits)))
+        ]
+        _assert_decodes_like_reference(payload, header, streams)
 
     def test_decompress_builds_tables_once(self, monkeypatch):
         blob = compress(SAMPLE_200, 2)
