@@ -5,11 +5,6 @@ context (a context is the string of up to n preceding symbols, including
 the empty context for the first position).  If each context's codeword
 set is a prefix code, the extension of the table to whole strings is
 injective, so encoded strings decode uniquely.
-
-`_walk_codeword` reads one codeword bit by bit against a (value, length)
--> symbol map, or -> rank in the codec.  `decode_with_table` uses it for
-every symbol, and the codec's decoder for contexts whose codewords are
-too long for its lookup tables, so the package has one bit-by-bit walk.
 """
 
 from __future__ import annotations
@@ -170,35 +165,6 @@ def validate_prefix_condition(table: CodeTable) -> bool:
     return True
 
 
-def _walk_codeword(
-    table: Mapping[tuple[int, int], int],
-    longest: int,
-    data: bytes,
-    pos: int,
-    nbits: int,
-    context: object,
-) -> tuple[int, int]:
-    """Decode one codeword bit by bit from position `pos` of the first
-    `nbits` bits of `data`; returns its `table` entry and the position after.
-
-    `table` maps (value, length) to a symbol or a rank, `longest` is its
-    longest codeword length and `context` names the context in errors.
-    """
-    acc = 0
-    length = 0
-    while True:
-        if pos >= nbits:
-            raise TruncationError("codeword stream ended early")
-        acc = (acc << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-        pos += 1
-        length += 1
-        entry = table.get((acc, length))
-        if entry is not None:
-            return entry, pos
-        if length >= longest:
-            raise CorruptStreamError(f"undecodable codeword in context {context!r}")
-
-
 def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     """Invert `extend`: recover exactly `count` symbols from `bits`.
 
@@ -216,7 +182,15 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
         for _ in range(count):
             ctx = bytes(_context_at(out, len(out), table.order))
             decoder, max_len = table._decoders[ctx]
-            sym, pos = _walk_codeword(decoder, max_len, data, pos, nbits, ctx)
+            value = length = 0  # the codeword read so far, bit by bit
+            while (sym := decoder.get((value, length))) is None:
+                if length >= max_len:
+                    raise CorruptStreamError(f"undecodable codeword in context {ctx!r}")
+                if pos >= nbits:
+                    raise TruncationError("codeword stream ended early")
+                value = (value << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+                pos += 1
+                length += 1
             out.append(sym)
     except KeyError:
         raise TableIncompleteError(f"no column for context {ctx!r}") from None

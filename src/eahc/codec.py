@@ -15,11 +15,14 @@ Slot v of the 2**L bytes `ranks` holds the rank of the codeword prefixing
 v (L being the longest), or len(lengths) if none does; `lengths` holds
 one length per codeword and cost is Σ f·length.  A context's entry adds
 `syms`, its successors in code order; lone successors share `_LONE`.
-`decode` loads _REFILL stream bits at a time into one int when fewer
-than L are unread.  Past TABLE_BITS, `ranks` is a (value, length) ->
-rank dict for `_walk_codeword`, after which the int restarts at the
-walk's end.  Past the stream it reads zeros; `_build_codes` bounds the
-h - n steps, and one test after them finds a truncation.
+`decode` loads _REFILL stream bits at a time into one int while fewer
+than L are unread, and peeks the next L bits as the slot.  Past
+TABLE_BITS, `ranks` is instead (starts, by_start): each codeword's value
+left-justified to L bits, ascending, and its rank.  Such a code has at
+least 14 codewords, so it is complete and its starts partition the
+slots: the codeword at a slot is the last one starting at or before it.
+Past the stream the int reads zeros; `_build_codes` bounds the h - n
+steps, and one test after them finds a truncation.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -85,13 +88,14 @@ from __future__ import annotations
 import re
 import struct
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
-from .adaptive_code import Alphabet, _walk_codeword
+from .adaptive_code import Alphabet
 from .bitstream import BitReader, BitString, BitWriter
 from .errors import (
     CorruptHeaderError,
@@ -107,7 +111,6 @@ _LEAD = struct.Struct("<4s3B")  # magic, version, order, m - 1; then the alphabe
 _TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
 _REFILL = 48  # stream bits `decode` loads at once: at least TABLE_BITS
-_PAD = bytes(_REFILL // 8)  # zeros past the stream, so every load reads in full
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
@@ -235,7 +238,7 @@ def _successor_counts(
     return counts
 
 
-def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int]:
+def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | tuple, bytes, int]:
     """(L, ranks, lengths, cost) of the code over `freqs`, as the module
     docstring describes: a slot no codeword prefixes ranks past `lengths`."""
     codes = code_pairs(freqs)
@@ -243,7 +246,10 @@ def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | dict, bytes, int
     longest = max(lengths)
     cost = sum(map(mul, freqs, lengths))
     if longest > TABLE_BITS:
-        return longest, {code: r for r, code in enumerate(codes)}, lengths, cost
+        starts = sorted(
+            (value << (longest - length), r) for r, (value, length) in enumerate(codes)
+        )
+        return longest, tuple(zip(*starts)), lengths, cost
     ranks = bytearray((min(len(codes), 255),)) * (1 << longest)  # 256 codes fill it
     for r, (value, length) in enumerate(codes):
         span = 1 << (longest - length)
@@ -466,10 +472,16 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
 
 
 def decode(payload: EahPayload, header: Header) -> bytes:
-    """Reconstruct the original bytes from a payload and its header."""
+    """Reconstruct the original bytes from a payload and its header.
+
+    Raises CorruptHeaderError for an order outside 1..255, which no
+    container can hold, before it reads any component.
+    """
     m = len(header.alphabet)
     n = header.order
     h = header.length
+    if not 1 <= n <= 255:
+        raise CorruptHeaderError(f"order must be between 1 and 255, got {n}")
     cached = payload._tables
     if cached is not None and cached[0] is header:
         _, head, tables = cached
@@ -481,23 +493,25 @@ def decode(payload: EahPayload, header: Header) -> bytes:
     out = bytearray(head)
     j = _context_index(head, m)
     nbits = len(payload.stream)
-    data = payload.stream.to_bytes() + _PAD
+    data = payload.stream.to_bytes()
     acc = nacc = p = 0  # acc's low nacc bits are unread; p is the next byte
+    load = _REFILL // 8
     tail = m ** (n - 1)
     append = out.append
     try:  # only tables[j] and lengths[r] can raise: each lookup is its check
         for _ in range(h - n):
             longest, ranks, lengths, syms = tables[j]
+            while nacc < longest:  # past the stream, a load reads zeros
+                acc = (acc & ((1 << nacc) - 1)) << _REFILL
+                acc |= int.from_bytes(data[p : p + load].ljust(load, b"\0"), "big")
+                p, nacc = p + load, nacc + _REFILL
+            slot = (acc >> (nacc - longest)) & ((1 << longest) - 1)
             if longest <= TABLE_BITS:
-                if nacc < longest:
-                    acc = (acc & ((1 << nacc) - 1)) << _REFILL
-                    acc |= int.from_bytes(data[p : p + _REFILL // 8], "big")
-                    p, nacc = p + _REFILL // 8, nacc + _REFILL
-                r = ranks[(acc >> (nacc - longest)) & ((1 << longest) - 1)]
-                nacc -= lengths[r]
+                r = ranks[slot]
             else:
-                r, pos = _walk_codeword(ranks, longest, data, 8 * p - nacc, nbits, j)
-                p, nacc, acc = (pos >> 3) + 1, 8 - (pos & 7), data[pos >> 3]
+                starts, by_start = ranks
+                r = by_start[bisect_right(starts, slot) - 1]
+            nacc -= lengths[r]
             i = syms[r]
             append(i)
             j = (j % tail) * m + i

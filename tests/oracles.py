@@ -1,9 +1,10 @@
-"""Independent reference computations the test suite checks against.
+"""Independent reference computations and seeded inputs the tests use.
 
 Everything here is deliberately naive (position scans, exhaustive
 enumeration) and shares no code with the package under test.
 """
 
+import random
 from functools import cache
 
 # 200-symbol sample over {a,b,c,d,e} with known golden statistics:
@@ -15,6 +16,17 @@ SAMPLE_200 = (
     b"abedcedcccccedcabedcabedccccedcccabedcccedccabedccccabedcc"
     b"ababedcabedcedccabedcababedced"
 )
+
+
+def long_code_word(k: int) -> bytes:
+    """An order-1 input whose context 0x00 has k successors with
+    Fibonacci counts, so its longest codeword is k - 1 bits."""
+    fib = [1, 1]
+    while len(fib) < k:
+        fib.append(fib[-1] + fib[-2])
+    successors = [s for t, f in enumerate(fib) for s in [t + 1] * f]
+    random.Random(44).shuffle(successors)
+    return bytes(b for s in successors for b in (0, s))
 
 
 def scan_transition_counts(word: bytes, order: int) -> dict[tuple[bytes, int, bool], int]:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import hashlib
@@ -33,23 +34,13 @@ from eahc.graph import assign_codewords, build_graph
 from oracles import (
     SAMPLE_200,
     assert_component_identities,
+    long_code_word,
     reference_stream_decode,
     scan_transition_counts,
     set_bit_positions,
 )
 
 W9 = b"abccdbbab"
-
-
-def _long_code_word(k: int) -> bytes:
-    """An order-1 input whose context 0x00 has k successors with
-    Fibonacci counts, so its longest codeword is k - 1 bits."""
-    fib = [1, 1]
-    while len(fib) < k:
-        fib.append(fib[-1] + fib[-2])
-    successors = [s for t, f in enumerate(fib) for s in [t + 1] * f]
-    random.Random(44).shuffle(successors)
-    return bytes(b for s in successors for b in (0, s))
 
 
 def _full_alphabet_word() -> bytes:
@@ -100,8 +91,8 @@ def _context_map_without_successor_map() -> bytes:
     return serialize(payload, Header(2, Alphabet(bytes(range(256))), 1000))
 
 
-LONG_CODE_WORD = _long_code_word(14)
-TABLE_BITS_WORD = _long_code_word(13)
+LONG_CODE_WORD = long_code_word(14)
+TABLE_BITS_WORD = long_code_word(13)
 REFERENCE_ERRORS = {
     "truncated": TruncationError,
     "corrupt": CorruptStreamError,
@@ -356,12 +347,21 @@ class TestDecode:
         with pytest.raises(CorruptHeaderError):
             decode(payload, bad_header)
 
+    @pytest.mark.parametrize("order", [0, 256])
+    def test_order_outside_the_container_rejected(self, order):
+        # at order 0 these fields decode to b"ab" unless the order is checked
+        # before any component is read
+        b = BitString.from_str
+        payload = EahPayload(b(""), b("1"), b("11"), b("11"), b("01"), 1)
+        with pytest.raises(CorruptHeaderError, match=f"got {order}"):
+            decode(payload, Header(order, Alphabet(b"ab"), 2))
+
     @pytest.mark.parametrize(
         "word, order, width",
         [
             (_full_alphabet_word(), 2, 1),
-            (_long_code_word(11), 1, 7),
-            (_long_code_word(12), 1, 8),
+            (long_code_word(11), 1, 7),
+            (long_code_word(12), 1, 8),
             (LONG_CODE_WORD, 1, 9),
         ],
         ids=["width-1", "width-7", "width-8", "width-9"],
@@ -603,11 +603,23 @@ class TestScanSetBits:
 
 
 class TestDecodeTables:
-    def test_long_codewords_use_the_bitwise_fallback(self):
+    def test_long_codewords_bisect_their_left_justified_starts(self):
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
-        longest, ranks, _, _ = payload._tables[2][0]
+        longest, (starts, by_start), lengths, _ = payload._tables[2][0]
         assert longest == 13 > codec.TABLE_BITS
-        assert isinstance(ranks, dict)
+        assert sorted(by_start) == list(range(len(lengths)))
+        # the starts partition the 2**L slots: each codeword spans
+        # 2**(L - length) of them, from its start to the next one's
+        assert starts[0] == 0
+        spans = [1 << (longest - lengths[r]) for r in by_start]
+        assert list(starts[1:]) == [a + w for a, w in zip(starts, spans)][:-1]
+        assert starts[-1] + spans[-1] == 1 << longest
+        model = codec._successor_counts(LONG_CODE_WORD, 1, header.alphabet)
+        _, freqs = codec._code_order(1, 0, sorted(model[0].items()))
+        codes = codec.code_pairs(freqs)
+        for slot in range(1 << longest):
+            value, length = codes[by_start[bisect.bisect_right(starts, slot) - 1]]
+            assert slot >> (longest - length) == value, slot
         assert decode(payload, header) == LONG_CODE_WORD
 
     def test_codewords_of_table_bits_use_a_table(self):
@@ -719,11 +731,9 @@ class TestDecodeTables:
             assert next(pairs, None) is None  # every pair taken as its entry is built
 
     def test_refill_covers_table_bits(self):
-        # decode loads the stream _REFILL bits at a time, once, whenever
-        # fewer unread bits are left than the table's longest codeword; the
-        # zero padding lets every load up to the stream's end read in full
+        # decode loads the stream _REFILL bits, whole bytes, at a time while
+        # fewer unread bits are left than the table's longest codeword
         assert codec.TABLE_BITS <= codec._REFILL and codec._REFILL % 8 == 0
-        assert codec._PAD == bytes(codec._REFILL // 8)
 
     @pytest.mark.parametrize(
         "word, order",
@@ -766,7 +776,7 @@ class TestDecodeTables:
             decode(longer, header)
 
     def test_table_path_resumes_after_long_codewords(self):
-        # every codeword of LONG_CODE_WORD's context 0 is walked bit by bit,
+        # every codeword of LONG_CODE_WORD's context 0 is found by bisection,
         # and every other context is a lone one, read through its table
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
         tables = payload._tables[2]
@@ -778,7 +788,7 @@ class TestDecodeTables:
             for j, row in model.items()
             for i, _, length in codec._successor_codes(1, j, sorted(row.items()))
         }
-        ends = {}  # bit offset within a byte -> first walk that ends there
+        ends = {}  # bit offset within a byte -> first long codeword ending there
         pos = 0
         for j, i in zip(LONG_CODE_WORD, LONG_CODE_WORD[1:]):  # index == byte
             pos += lengths[j, i]
@@ -786,7 +796,7 @@ class TestDecodeTables:
                 ends.setdefault(pos & 7, pos)
         assert pos == len(payload.stream) and sorted(ends) == list(range(8))
         assert decode(payload, header) == LONG_CODE_WORD
-        # flip the walk's last two bits and the first three read after it
+        # flip a long codeword's last two bits and the first three after it
         bits = payload.stream.to01()
         streams = [
             _flip(bits, k)
