@@ -79,9 +79,9 @@ class CodeTable:
 
     `contexts` maps each stored context (a bytes key; b"" is the empty
     context) to a full symbol -> BitString map.  Each context's decoder,
-    its (value, length) -> symbol map and longest codeword length, is
-    built here too, so tables are immutable after construction and safe
-    to share.
+    its key -> symbol map and longest codeword length, is built here too,
+    so tables are immutable after construction and safe to share.  A
+    codeword's key is its bits behind a leading marker bit.
     """
 
     def __init__(
@@ -94,7 +94,7 @@ class CodeTable:
             raise ValueError("order must be >= 1")
         self.order = order
         frozen: dict[bytes, dict[int, BitString]] = {}
-        decoders: dict[bytes, tuple[dict[tuple[int, int], int], int]] = {}
+        decoders: dict[bytes, tuple[dict[int, int], int]] = {}
         for ctx, column in contexts.items():
             ctx = bytes(ctx)
             if len(ctx) > order:
@@ -109,7 +109,7 @@ class CodeTable:
                 raise ValueError("codewords must be nonempty")
             frozen[ctx] = dict(column)
             decoders[ctx] = (
-                {(code.uint(), len(code)): sym for sym, code in column.items()},
+                {code.uint() | 1 << len(code): sym for sym, code in column.items()},
                 max(len(code) for code in column.values()),
             )
         self._contexts = frozen
@@ -182,15 +182,14 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
         for _ in range(count):
             ctx = bytes(_context_at(out, len(out), table.order))
             decoder, max_len = table._decoders[ctx]
-            value = length = 0  # the codeword read so far, bit by bit
-            while (sym := decoder.get((value, length))) is None:
-                if length >= max_len:
+            key = 1  # the marker bit, then the codeword read so far, bit by bit
+            while (sym := decoder.get(key)) is None:
+                if key >> max_len:
                     raise CorruptStreamError(f"undecodable codeword in context {ctx!r}")
                 if pos >= nbits:
                     raise TruncationError("codeword stream ended early")
-                value = (value << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+                key = key << 1 | (data[pos >> 3] >> (7 - (pos & 7))) & 1
                 pos += 1
-                length += 1
             out.append(sym)
     except KeyError:
         raise TableIncompleteError(f"no column for context {ctx!r}") from None

@@ -10,19 +10,19 @@ is the transition graph of the paper; `graph.build_graph` and
 Huffman code of one context, and ask this module for both numberings.
 
 Only the decoder keeps tables, one per distinct count tuple in code order,
-which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost).
-Slot v of the 2**L bytes `ranks` holds the rank of the codeword prefixing
-v (L being the longest), or len(lengths) if none does; `lengths` holds
-one length per codeword and cost is Σ f·length.  A context's entry adds
-`syms`, its successors in code order; lone successors share `_LONE`.
-`decode` loads _REFILL stream bits at a time into one int while fewer
-than L are unread, and peeks the next L bits as the slot.  Past
-TABLE_BITS, `ranks` is instead (starts, by_start): each codeword's value
-left-justified to L bits, ascending, and its rank.  Such a code has at
-least 14 codewords, so it is complete and its starts partition the
-slots: the codeword at a slot is the last one starting at or before it.
-Past the stream the int reads zeros; `_build_codes` bounds the h - n
-steps, and one test after them finds a truncation.
+which fixes the code: `_ranked_table` makes (L, ranks, lengths, cost): one
+length per codeword, L the longest, and cost Σ f·length.  `ranks` comes
+from the codewords' starts, each value left-justified to L bits, sorted
+with its rank; the lone code's "0" adds a sentinel start at slot 1 ranked
+1, past `lengths`.  A Huffman code of two or more codewords is complete,
+so the codeword at a slot is the last one starting at or before it.  Up to
+TABLE_BITS, `ranks` is 2**L bytes, each start's rank repeated up to the
+next start; past it, (starts, by_start) for `bisect_right`.  A context's
+entry adds `syms`, its successors in code order; lone successors share
+`_LONE`.  `decode` loads _REFILL stream bits at a time into one int while
+fewer than L are unread, and peeks the next L bits as the slot.  Past the
+stream the int reads zeros; `_build_codes` bounds the h - n steps, and one
+test after them finds a truncation.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -91,7 +91,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, pairwise, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
@@ -110,7 +110,7 @@ VERSION = 1
 _LEAD = struct.Struct("<4s3B")  # magic, version, order, m - 1; then the alphabet
 _TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
-_REFILL = 48  # stream bits `decode` loads at once: at least TABLE_BITS
+_REFILL = 48  # stream bits `decode` loads at once: a whole number of bytes
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
@@ -245,16 +245,16 @@ def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | tuple, bytes, in
     lengths = bytes(length for _, length in codes)
     longest = max(lengths)
     cost = sum(map(mul, freqs, lengths))
+    starts = sorted(
+        (value << (longest - length), r) for r, (value, length) in enumerate(codes)
+    )
+    if len(codes) == 1:  # "0" leaves slot 1 unprefixed
+        starts.append((1, 1))
     if longest > TABLE_BITS:
-        starts = sorted(
-            (value << (longest - length), r) for r, (value, length) in enumerate(codes)
-        )
         return longest, tuple(zip(*starts)), lengths, cost
-    ranks = bytearray((min(len(codes), 255),)) * (1 << longest)  # 256 codes fill it
-    for r, (value, length) in enumerate(codes):
-        span = 1 << (longest - length)
-        ranks[value * span : (value + 1) * span] = bytes((r,)) * span
-    return longest, bytes(ranks), lengths, cost
+    starts.append((1 << longest, 0))  # the end of the slots
+    ranks = b"".join(bytes((r,)) * (b - a) for (a, r), (b, _) in pairwise(starts))
+    return longest, ranks, lengths, cost
 
 
 # a lone successor's codeword is "0" whatever its count, so its entry

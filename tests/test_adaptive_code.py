@@ -212,8 +212,12 @@ class TestDecodeWithTable:
     def test_undecodable_bits(self):
         columns = {b"": {A: "00", B: "01", C: "10"}}  # "11" unused
         table = make_table(columns, order=1)
-        with pytest.raises(CorruptStreamError):
+        # "11" ends just as its unmatched bits reach the longest codeword's
+        # 2, and is undecodable; one bit fewer, the stream ends first
+        with pytest.raises(CorruptStreamError, match="undecodable codeword in context b''"):
             decode_with_table(table, BitString.from_str("11"), 1)
+        with pytest.raises(TruncationError, match="codeword stream ended early"):
+            decode_with_table(table, BitString.from_str("1"), 1)
         with pytest.raises(TableIncompleteError):  # no column for context "a"
             decode_with_table(table, BitString.from_str("0000"), 2)
         with pytest.raises(ValueError):

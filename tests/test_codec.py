@@ -6,6 +6,7 @@ import random
 import struct
 import tracemalloc
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -98,6 +99,19 @@ REFERENCE_ERRORS = {
     "corrupt": CorruptStreamError,
     "trailing": TrailingGarbageError,
 }
+
+
+def _prefixing_ranks(codes: list, longest: int, slots: Iterable[int]) -> list[int]:
+    """Per slot of a `longest`-bit table, the rank of the codeword in
+    `codes` whose bits begin it, or len(codes) when none does, found by
+    trying every codeword length."""
+    rank = {code: r for r, code in enumerate(codes)}
+    lengths = sorted({length for _, length in codes})
+    found = []
+    for slot in slots:
+        hits = (rank.get((slot >> (longest - k), k)) for k in lengths)
+        found.append(next((r for r in hits if r is not None), len(codes)))
+    return found
 
 
 def _flip(bits: str, *positions: int) -> str:
@@ -676,6 +690,45 @@ class TestDecodeTables:
         assert table == (1, b"\x00\x01", b"\x01", f)
         for i, entry in enumerate(codec._LONE):
             assert entry[:3] == table[:3] and entry[3][0] == i
+
+    def test_ranks_send_each_slot_to_its_prefixing_codeword(self):
+        rng = random.Random(61)
+        vectors = [
+            tuple(rng.randint(1, 1 << rng.randint(0, 9)) for _ in range(k))
+            for k in range(1, 41)
+            for _ in range(3)
+        ]
+        fib = [1, 1]
+        while len(fib) < 16:  # Fibonacci counts: a 15-bit longest codeword
+            fib.append(fib[-1] + fib[-2])
+        vectors += [tuple(fib), tuple(rng.sample(fib, len(fib))), (1,) * 256]
+        assert codec._ranked_table(tuple(fib))[0] == 15 > codec.TABLE_BITS
+        for freqs in vectors:
+            codes = codec.code_pairs(freqs)
+            longest, ranks, lengths, _ = codec._ranked_table(freqs)
+            assert lengths == bytes(length for _, length in codes)
+            assert longest == max(lengths)
+            if longest <= codec.TABLE_BITS:
+                slots = range(1 << longest)
+                assert ranks == bytes(_prefixing_ranks(codes, longest, slots)), freqs
+                continue
+            starts, by_start = ranks
+            slots = rng.sample(range(1 << longest), 2000) + [(1 << longest) - 1]
+            edges = [s + d for s in starts for d in (-1, 0, 1)]
+            slots += [s for s in edges if 0 <= s < 1 << longest]
+            found = [by_start[bisect.bisect_right(starts, slot) - 1] for slot in slots]
+            assert found == _prefixing_ranks(codes, longest, slots), freqs
+
+    def test_context_followed_by_every_byte(self):
+        # byte 0 is followed by all 256 byte values, the one code whose
+        # ranks fill a slot byte: rank 255 is a codeword's, not past `lengths`
+        word = bytes(b for s in range(256) for b in (0, s))
+        payload, header = deserialize(compress(word, 1))
+        longest, ranks, lengths, syms = payload._tables[2][0]
+        assert len(lengths) == 256 and sorted(syms) == list(range(256))
+        assert isinstance(ranks, bytes) and len(ranks) == 1 << longest
+        assert set(ranks) == set(range(256))
+        assert decode(payload, header) == word
 
     def test_undecodable_slot_named(self):
         # context 0 (a) has the lone successor b, coded "0": the stream "1"
