@@ -38,27 +38,26 @@ def lz78_encode(word: bytes) -> tuple[BitString, int]:
     """Dictionary-phrase parse of `word`: (encoded bits, phrase count).
 
     Each phrase is the longest dictionary match plus one extension
-    symbol, emitted as a fixed-width (pointer, symbol) pair; a leftover
-    match at the end of the input is re-emitted from its parent entry so
-    every phrase has both fields.
+    symbol, emitted as a fixed-width (pointer, symbol) pair.  Phrase k
+    adds entry k to a dictionary keyed by (entry number, byte), so no
+    phrase is built as bytes.  Input that ends inside entry k re-emits
+    phrase k, the one that added it, so every phrase has both fields.
     """
     if not word:
         raise ValueError("input must not be empty")
     alphabet = Alphabet.from_bytes(word)
-    dictionary: dict[bytes, int] = {}
+    dictionary: dict[tuple[int, int], int] = {}
     phrases: list[tuple[int, int]] = []
-    current = b""
+    entry = 0  # the entry matched so far; 0 is the empty phrase
     for sym in word:
-        candidate = current + bytes([sym])
-        if candidate in dictionary:
-            current = candidate
+        if (entry, sym) in dictionary:
+            entry = dictionary[entry, sym]
         else:
-            phrases.append((dictionary.get(current, 0), alphabet.index(sym)))
-            dictionary[candidate] = len(dictionary) + 1
-            current = b""
-    if current:
-        # input ended inside a known phrase: re-derive it from its parent
-        phrases.append((dictionary.get(current[:-1], 0), alphabet.index(current[-1])))
+            phrases.append((entry, alphabet.index(sym)))
+            dictionary[entry, sym] = len(phrases)
+            entry = 0
+    if entry:
+        phrases.append(phrases[entry - 1])
 
     t = len(phrases)
     pointer_width, symbol_width = _widths(t, len(alphabet))

@@ -474,21 +474,25 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
 def decode(payload: EahPayload, header: Header) -> bytes:
     """Reconstruct the original bytes from a payload and its header.
 
-    Raises CorruptHeaderError for an order outside 1..255, which no
-    container can hold, before it reads any component.
+    Raises CorruptHeaderError for an order outside 1..255 or an alphabet
+    out of ascending order, which no container can hold, before it reads
+    any component.
     """
     m = len(header.alphabet)
     n = header.order
     h = header.length
+    alphabet = header.alphabet.to_bytes()
     if not 1 <= n <= 255:
         raise CorruptHeaderError(f"order must be between 1 and 255, got {n}")
+    if list(alphabet) != sorted(alphabet):  # its bytes are distinct
+        raise CorruptHeaderError("alphabet bytes are not strictly ascending")
     cached = payload._tables
     if cached is not None and cached[0] is header:
         _, head, tables = cached
     else:
         head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
         tables, _ = _build_codes(n, rows, len(payload.stream))
-    symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
+    symbols = bytes.maketrans(bytes(range(m)), alphabet)
 
     out = bytearray(head)
     j = _context_index(head, m)

@@ -28,10 +28,9 @@ from .bitstream import EMPTY, BitString
 
 Edge = tuple["Vertex", "Vertex"]
 
-# a DOT name spells as xHH every byte but the printables other than '"' and
-# '\', and also an 'x' before two bytes that would read as an escape's digits
-_ESCAPES = {b: f"x{b:02X}" for b in range(256) if not 33 <= b <= 126 or b in (34, 92)}
-_LITERAL_X = re.compile("x(?=[0-9A-F]{2})")
+# a DOT name spells as xHH, its two hex digits, a byte outside 33..126, a
+# '"', a '\', and an 'x' before two of 0-9A-F, which would read as an escape
+_ESCAPE = re.compile(r"[^!#-\[\]-~]|x(?=[0-9A-F]{2})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +40,7 @@ class Vertex:
 
     @property
     def name(self) -> str:
-        base = _LITERAL_X.sub("x78", self.key.decode("latin-1")).translate(_ESCAPES)
+        base = _ESCAPE.sub(lambda c: f"x{ord(c[0]):02X}", self.key.decode("latin-1"))
         return base + "_aux" if self.aux else base
 
 
@@ -84,23 +83,22 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
         return g
     symbols = g.alphabet.to_bytes()
     m = len(symbols)
-
+    vertex = [Vertex(symbols[i : i + 1]) for i in range(m)]  # one per symbol
     first = codec._context_index(map(g.alphabet.index, word[:n]), m)
     for j, row in codec._successor_counts(word, n, g.alphabet).items():
         window = bytes(symbols[i] for i in codec._window(j, m, n))
         context = Vertex(window)
         for i, f in row.items():
-            succ = Vertex(symbols[i : i + 1])
             if n == 1 and i == j:
                 aux = Vertex(window, aux=True)
-                g.labels[(succ, aux)] = EdgeLabel(f)
-                g.labels[(aux, succ)] = EdgeLabel()
+                g.labels[(vertex[i], aux)] = EdgeLabel(f)
+                g.labels[(aux, vertex[i])] = EdgeLabel()
             else:
-                g.labels[(context, succ)] = EdgeLabel(f)
+                g.labels[(context, vertex[i])] = EdgeLabel(f)
         # a window starting after position 0 is entered from its last
-        # symbol; the first window starts there, so it needs a second start
+        # symbol, j % m; the first window starts there, so it needs a second start
         if n >= 2 and (j != first or sum(row.values()) > 1):
-            g.labels[(Vertex(window[-1:]), context)] = EdgeLabel()
+            g.labels[(vertex[j % m], context)] = EdgeLabel()
     return g
 
 
@@ -121,20 +119,18 @@ def assign_codewords(g: AdaptiveGraph) -> None:
 
 
 def export_dot(g: AdaptiveGraph) -> str:
-    """Render as deterministic Graphviz DOT text.
+    """Render as deterministic Graphviz DOT text, naming each vertex once.
 
-    Vertices are listed in lexicographic key order; edges are labeled
-    "(frequency,codeword)" with the empty codeword shown as the λ
-    character.
+    Vertices are listed in name order and edges in (source, target) name
+    order, a unique pair; edges are labeled "(frequency,codeword)" with
+    the empty codeword shown as the λ character.
     """
-    lines = ["digraph G {"]
-    for v in sorted(g.vertices, key=lambda v: v.name):
-        lines.append(f'  "{v.name}";')
-    for (src, dst) in sorted(g.labels, key=lambda e: (e[0].name, e[1].name)):
-        label = g.labels[(src, dst)]
+    names = {v: v.name for v in g.vertices}
+    lines = ["digraph G {", *(f'  "{name}";' for name in sorted(names.values()))]
+    for src, dst, label in sorted(
+        (names[src], names[dst], label) for (src, dst), label in g.labels.items()
+    ):
         code = label.codeword.to01() if len(label.codeword) else "λ"
-        lines.append(
-            f'  "{src.name}" -> "{dst.name}" [label="({label.frequency},{code})"];'
-        )
+        lines.append(f'  "{src}" -> "{dst}" [label="({label.frequency},{code})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

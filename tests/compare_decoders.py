@@ -1,4 +1,5 @@
-"""Compare how two checkouts of eahc decompress damaged containers.
+"""Compare how two checkouts of eahc decompress damaged containers, and
+what their analysis views make of the same inputs.
 
 Usage:
 
@@ -12,10 +13,14 @@ container:
 - N seeded single bit flips and N seeded double bit flips.
 
 A mutant's outcome is the bytes it decodes to, or the class and message
-of the error it raises.  The script prints, per case, the mutants tried
-and how many outcomes differ between the two checkouts, and it exits with
-status 1 when any container or outcome differs.  Its name keeps pytest
-from collecting it.
+of the error it raises.  For every case's input, and for a seeded escape
+corpus (every byte value, and an 'x' before every pair of hex digits), it
+also takes the DOT text of `build_graph` + `assign_codewords` +
+`export_dot` at orders 1-3 and the bits and phrase count of
+`lz78_encode`.  The script prints, per case, the mutants tried and how
+many outcomes differ between the two checkouts, then how many analysis
+views differ, and it exits with status 1 when any container, outcome or
+view differs.  Its name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,16 @@ def cases(seed: int) -> list[tuple[str, bytes, int]]:
     ]
 
 
+def escape_corpus(seed: int) -> bytes:
+    """Every byte value, and an 'x' before every pair of hex digits, as
+    seeded-order chunks of one and three bytes."""
+    digits = b"0123456789ABCDEF"
+    chunks = [bytes([b]) for b in range(256)]
+    chunks += [bytes([120, a, b]) for a in digits for b in digits]
+    random.Random(seed).shuffle(chunks)
+    return b"".join(chunks)
+
+
 def mutants(blob: bytes, seed: int, flips: int) -> list[bytes]:
     """Every cut of the last CUT_BYTES bytes, then the seeded flips."""
     out = [blob[:k] for k in range(max(len(blob) - CUT_BYTES, 0), len(blob))]
@@ -66,14 +81,35 @@ def mutants(blob: bytes, seed: int, flips: int) -> list[bytes]:
     return out
 
 
-def outcomes(src: str, seed: int, flips: int) -> dict[str, tuple[str, list[tuple]]]:
-    """Case name -> (container digest, outcome of each mutant), with eahc
-    imported from `src`."""
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def views(word: bytes, graph, baselines) -> list[tuple[str, str]]:
+    """(view, digest) for the DOT text at orders 1-3, then for the LZ78
+    bits and phrase count."""
+    found = []
+    for order in (1, 2, 3):
+        g = graph.build_graph(word, order)
+        graph.assign_codewords(g)
+        found.append((f"dot at order {order}", _digest(graph.export_dot(g))))
+    bits, phrases = baselines.lz78_encode(word)
+    return found + [("lz78", _digest(f"{bits.to01()} {phrases}"))]
+
+
+def outcomes(src: str, seed: int, flips: int) -> tuple[dict, dict]:
+    """Case name -> (container digest, outcome of each mutant), and input
+    name -> its analysis views, with eahc imported from `src`."""
     sys.path.insert(0, src)
     try:
         codec = importlib.import_module("eahc.codec")
         if not Path(codec.__file__).is_relative_to(Path(src).resolve()):
             raise SystemExit(f"eahc imported from {codec.__file__}, not from {src}")
+        graph = importlib.import_module("eahc.graph")
+        baselines = importlib.import_module("eahc.baselines")
+        inputs = {name: word for name, word, _ in cases(seed)}
+        inputs["escapes"] = escape_corpus(seed)
+        analysis = {name: views(w, graph, baselines) for name, w in inputs.items()}
         result = {}
         for name, word, order in cases(seed):
             blob = codec.compress(word, order)
@@ -86,7 +122,7 @@ def outcomes(src: str, seed: int, flips: int) -> dict[str, tuple[str, list[tuple
                 else:
                     found.append(("bytes", hashlib.sha256(decoded).hexdigest()))
             result[name] = (hashlib.sha256(blob).hexdigest(), found)
-        return result
+        return result, analysis
     finally:
         sys.path.remove(src)
         for module in [k for k in sys.modules if k == "eahc" or k.startswith("eahc.")]:
@@ -100,8 +136,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--flips", type=int, default=1350)
     args = parser.parse_args(argv)
-    old = outcomes(str(Path(args.old_src).resolve()), args.seed, args.flips)
-    new = outcomes(str(Path(args.new_src).resolve()), args.seed, args.flips)
+    old, old_views = outcomes(str(Path(args.old_src).resolve()), args.seed, args.flips)
+    new, new_views = outcomes(str(Path(args.new_src).resolve()), args.seed, args.flips)
     total = differences = 0
     for name, (old_blob, old_found) in old.items():
         new_blob, new_found = new[name]
@@ -117,7 +153,15 @@ def main(argv: list[str] | None = None) -> int:
         total += len(new_found)
         differences += len(diff)
     print(f"total: {total} mutants, {differences} differences")
-    return 1 if differences else 0
+    compared = differing = 0
+    for name, found in old_views.items():
+        diff = [view for (view, a), (_, b) in zip(found, new_views[name]) if a != b]
+        listed = "".join(f"; {view}" for view in diff)
+        print(f"{name}: {len(found)} views, {len(diff)} differ{listed}")
+        compared += len(found)
+        differing += len(diff)
+    print(f"views: {compared} compared, {differing} differences")
+    return 1 if differences or differing else 0
 
 
 if __name__ == "__main__":

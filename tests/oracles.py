@@ -201,6 +201,48 @@ def reference_stream_decode(payload, header):
     return bytes(header.alphabet.to_bytes()[i] for i in out)
 
 
+def reference_lz78(word: bytes) -> tuple[str, int, int]:
+    """The textbook LZ78 parse of `word` over `bytes` phrases.
+
+    Each phrase is the longest known phrase at the current position plus
+    the symbol after it, and becomes the next dictionary entry.  Input
+    that ends inside a known phrase emits that phrase's own (parent entry,
+    last symbol) pair.  Every pair is priced at t.bit_length() pointer
+    bits and (m - 1).bit_length() symbol bits, for t phrases over m
+    symbols.  Returns the pairs as '0'/'1' text, t, and the length of the
+    leftover phrase (0 when the input ends on a new phrase).
+    """
+    symbols = sorted(set(word))
+    entries = {b"": 0}
+    pairs = []
+    leftover = 0
+    p = 0
+    while p < len(word):
+        k = p
+        while k < len(word) and word[p : k + 1] in entries:
+            k += 1
+        if k == len(word):  # the rest of the input is a known phrase
+            phrase = word[p:]
+            pairs.append((entries[phrase[:-1]], phrase[-1]))
+            leftover = len(phrase)
+            break
+        entries[word[p : k + 1]] = len(entries)
+        pairs.append((entries[word[p:k]], word[k]))
+        p = k + 1
+    t = len(pairs)
+    pointer_width = t.bit_length()
+    symbol_width = (len(symbols) - 1).bit_length()
+
+    def field(value: int, width: int) -> str:
+        return format(value, f"0{width}b") if width else ""
+
+    text = "".join(
+        field(pointer, pointer_width) + field(symbols.index(sym), symbol_width)
+        for pointer, sym in pairs
+    )
+    return text, t, leftover
+
+
 def _dot_name(key: bytes, aux: bool) -> str:
     # xHH for every byte but the printables other than '"' and '\'; a
     # literal 'x' followed by two hex-digit characters is escaped as well,

@@ -10,7 +10,7 @@ from eahc.baselines import (
 )
 from eahc.bitstream import BitString
 from eahc.errors import CorruptStreamError, TrailingGarbageError, TruncationError
-from oracles import SAMPLE_200, optimal_prefix_cost
+from oracles import SAMPLE_200, optimal_prefix_cost, reference_lz78
 
 
 class TestHuffmanStreamLength:
@@ -68,6 +68,30 @@ class TestLz78:
             bits, t = lz78_encode(word)
             alphabet = Alphabet.from_bytes(word)
             assert lz78_decode(bits, t, alphabet) == word
+
+    def test_leftover_phrase_reemits_the_pair_that_added_it(self):
+        # a, b, ab, then the leftover ab is entry 3, re-emitted as (1, b):
+        # four pairs of a 3-bit pointer and a 1-bit symbol
+        bits, t = lz78_encode(b"ababab")
+        assert (bits.to01(), t) == ("0000" + "0001" + "0011" + "0011", 4)
+        assert reference_lz78(b"ababab") == (bits.to01(), 4, 2)
+
+    def test_matches_reference_parse(self):
+        rng = random.Random(55)
+        leftovers = []
+        for m in (*range(1, 9), 256):
+            for _ in range(40):
+                symbols = rng.sample(range(256), m)
+                word = bytes(rng.choices(symbols, k=rng.randint(1, 600)))
+                if rng.random() < 0.5:  # end on a copy of an early stretch
+                    k = rng.randint(0, len(word) - 1)
+                    word += word[k : k + rng.randint(2, 12)]
+                bits, t = lz78_encode(word)
+                text, count, leftover = reference_lz78(word)
+                assert (bits.to01(), t) == (text, count), (m, word)
+                leftovers.append(leftover)
+        # many inputs end inside a phrase of two or more symbols
+        assert sum(length >= 2 for length in leftovers) >= 40
 
     def test_round_trip_random(self):
         rng = random.Random(52)

@@ -361,6 +361,17 @@ class TestDecode:
         with pytest.raises(CorruptHeaderError):
             decode(payload, bad_header)
 
+    def test_alphabet_out_of_order_rejected(self):
+        # serialize and deserialize refuse this header, which once decoded
+        # to b"baaba"; the check comes before any component is read
+        payload, header = encode(b"abbab", 1)
+        scrambled = dataclasses.replace(header, alphabet=Alphabet(b"ba"))
+        with pytest.raises(CorruptHeaderError, match="not strictly ascending"):
+            decode(payload, scrambled)
+        empty = EahPayload(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY, 0)
+        with pytest.raises(CorruptHeaderError, match="not strictly ascending"):
+            decode(empty, scrambled)
+
     @pytest.mark.parametrize("order", [0, 256])
     def test_order_outside_the_container_rejected(self, order):
         # at order 0 these fields decode to b"ab" unless the order is checked
@@ -784,9 +795,28 @@ class TestDecodeTables:
             assert next(pairs, None) is None  # every pair taken as its entry is built
 
     def test_refill_covers_table_bits(self):
-        # decode loads the stream _REFILL bits, whole bytes, at a time while
-        # fewer unread bits are left than the table's longest codeword
-        assert codec.TABLE_BITS <= codec._REFILL and codec._REFILL % 8 == 0
+        # decode loads the stream _REFILL bits, whole bytes, at a time, as
+        # many times as the table's longest codeword needs (the test below
+        # runs it with one-byte loads)
+        assert codec._REFILL % 8 == 0
+
+    @pytest.mark.parametrize(
+        "word, order",
+        [(LONG_CODE_WORD, 1), (SAMPLE_200, 2)],
+        ids=["long-code-1", "sample200-2"],
+    )
+    def test_byte_loads_refill_until_a_codeword_fits(self, monkeypatch, word, order):
+        # one byte per load: a 13-bit codeword of LONG_CODE_WORD takes up to
+        # two loads before its lookup
+        monkeypatch.setattr(codec, "_REFILL", 8)
+        payload, header = deserialize(compress(word, order))
+        assert decode(payload, header) == word
+        bits = payload.stream.to01()
+        rng = random.Random(46)
+        positions = set(rng.sample(range(len(bits)), min(len(bits), 150)))
+        positions.update(range(max(len(bits) - 24, 0), len(bits)))
+        streams = [damaged for k in sorted(positions) for damaged in (bits[:k], _flip(bits, k))]
+        _assert_decodes_like_reference(payload, header, streams)
 
     @pytest.mark.parametrize(
         "word, order",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eahc.graph import EdgeLabel, Vertex, assign_codewords, build_graph, export_dot
-from oracles import SAMPLE_200, reference_dot, scan_transition_counts
+from oracles import SAMPLE_200, _dot_name, reference_dot, scan_transition_counts
 
 
 def edge_set(g):
@@ -11,6 +11,24 @@ def edge_set(g):
 
 
 W9 = b"abccdbbab"
+
+
+class TestVertexName:
+    def test_every_one_byte_key_matches_reference(self):
+        for b in range(256):
+            for aux in (False, True):
+                key = bytes([b])
+                assert Vertex(key, aux).name == _dot_name(key, aux), (b, aux)
+
+    def test_x_before_every_hex_pair_matches_reference(self):
+        hex_digits = b"0123456789ABCDEF"
+        others = b'abfGx"\\ \x00\x7f\xff'  # lower case, 'x', escaped bytes
+        for a in hex_digits + others:
+            for b in hex_digits + others:
+                pair = bytes([a, b])
+                for key in (b"x" + pair, b"xx" + pair, pair + b"x", b"x" + pair + b"x"):
+                    for aux in (False, True):
+                        assert Vertex(key, aux).name == _dot_name(key, aux), key
 
 
 class TestBuildGraphOrder1:
