@@ -33,7 +33,7 @@ class Alphabet:
         if any(not 0 <= s <= 255 for s in syms):
             raise ValueError("symbols must be byte values")
         if len(set(syms)) != len(syms):
-            raise ValueError("symbols must be distinct")
+            raise ValueError("alphabet symbols must be distinct")
         self._symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}
 

@@ -20,12 +20,10 @@ def huffman_stream_length(word: bytes) -> int:
     """Bits needed to Huffman-code `word` with one global code.
 
     Frequencies are taken in alphabet (ascending byte) order; the
-    codebook itself is not counted.
+    codebook itself is not counted.  Raises ValueError for empty input.
     """
-    if not word:
-        raise ValueError("input must not be empty")
     counts = Counter(word)
-    freqs = [counts[s] for s in sorted(counts)]
+    freqs = [counts[s] for s in Alphabet.from_bytes(word)]
     return sum(f * length for f, (_, length) in zip(freqs, code_pairs(freqs)))
 
 
@@ -42,9 +40,8 @@ def lz78_encode(word: bytes) -> tuple[BitString, int]:
     adds entry k to a dictionary keyed by (entry number, byte), so no
     phrase is built as bytes.  Input that ends inside entry k re-emits
     phrase k, the one that added it, so every phrase has both fields.
+    Raises ValueError for empty input.
     """
-    if not word:
-        raise ValueError("input must not be empty")
     alphabet = Alphabet.from_bytes(word)
     dictionary: dict[tuple[int, int], int] = {}
     phrases: list[tuple[int, int]] = []

@@ -60,17 +60,19 @@ Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
 
     _LEAD  [4B] magic "EAH1"
            [1B] version (1)
-           [1B] order n
+           [1B] order n, 1..255
            [1B] alphabet size minus 1
-           [mB] alphabet bytes in index order
+           [mB] alphabet bytes in index order, ascending
     _TAIL  [8B] original length h
            [1B] freq_table field width (0 when h <= n)
            [..] payload bits prefix|context_map|successor_map|freq_table|
                 stream, packed MSB-first, final byte zero-padded
 
-`serialize` writes the header and the five components through one
-`BitWriter` and returns its buffer, copied once; `deserialize` reads them
-in place, through one `BitReader` past the header.
+`Header` and `EahPayload` refuse a field these bytes cannot hold with
+ValueError, so `serialize` checks nothing: it writes the header and the
+five components through one `BitWriter` and returns its buffer, copied
+once.  `deserialize` reads them in place, through one `BitReader` past
+the header, and re-raises that ValueError as CorruptHeaderError.
 
 The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
@@ -117,13 +119,27 @@ _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
 @dataclass(frozen=True)
 class Header:
+    """Fields a container's header can hold, or ValueError: an order of
+    1..255, an alphabet in ascending byte order, a length below 2**64."""
+
     order: int
     alphabet: Alphabet
     length: int  # original symbol count h
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.order <= 255:
+            raise ValueError(f"order must be between 1 and 255, got {self.order}")
+        if list(self.alphabet) != sorted(self.alphabet):  # its bytes are distinct
+            raise ValueError("alphabet bytes are not strictly ascending")
+        if not 0 <= self.length < 1 << 64:
+            raise ValueError(f"length must fit in 64 bits, got {self.length}")
+
 
 @dataclass(frozen=True)
 class EahPayload:
+    """The five components, which `decode` checks against a header, and a
+    freq_table field width the container's byte can hold, or ValueError."""
+
     prefix: BitString
     context_map: BitString
     successor_map: BitString
@@ -132,6 +148,10 @@ class EahPayload:
     freq_width: int  # bit width of each freq_table entry
     # (header, prefix indices, decoder tables) that deserialize read, for decode
     _tables: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.freq_width <= 255:
+            raise ValueError(f"freq_width must be between 0 and 255, got {self.freq_width}")
 
     def components(self) -> tuple[BitString, BitString, BitString, BitString, BitString]:
         return (
@@ -421,14 +441,11 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     """Encode a byte string at the given order.
 
     The alphabet is the set of distinct bytes of `word` in ascending
-    value order.  Raises ValueError for empty input, for an order outside
-    1..255, or for one whose m**n contexts exceed MAX_CONTEXT_BITS.
+    value order.  Raises ValueError for empty input (`Alphabet.from_bytes`),
+    for an order outside 1..255 (`Header`), or for one whose m**n contexts
+    exceed MAX_CONTEXT_BITS.
     """
-    if not 1 <= order <= 255:  # the container stores it in one byte
-        raise ValueError(f"order must be between 1 and 255, got {order}")
     word = bytes(word)
-    if not word:
-        raise ValueError("cannot encode an empty string")
     alphabet = Alphabet.from_bytes(word)
     m = len(alphabet)
     n = order
@@ -474,25 +491,19 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
 def decode(payload: EahPayload, header: Header) -> bytes:
     """Reconstruct the original bytes from a payload and its header.
 
-    Raises CorruptHeaderError for an order outside 1..255 or an alphabet
-    out of ascending order, which no container can hold, before it reads
-    any component.
+    `Header` holds its fields to what a container can; this checks the
+    components against them and raises a CodecError at the first fault.
     """
     m = len(header.alphabet)
     n = header.order
     h = header.length
-    alphabet = header.alphabet.to_bytes()
-    if not 1 <= n <= 255:
-        raise CorruptHeaderError(f"order must be between 1 and 255, got {n}")
-    if list(alphabet) != sorted(alphabet):  # its bytes are distinct
-        raise CorruptHeaderError("alphabet bytes are not strictly ascending")
     cached = payload._tables
     if cached is not None and cached[0] is header:
         _, head, tables = cached
     else:
         head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
         tables, _ = _build_codes(n, rows, len(payload.stream))
-    symbols = bytes.maketrans(bytes(range(m)), alphabet)
+    symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
     out = bytearray(head)
     j = _context_index(head, m)
@@ -541,17 +552,10 @@ def leahn_length(word: bytes, order: int) -> int:
 def serialize(payload: EahPayload, header: Header) -> bytes:
     """Pack a payload and header into the bit-exact container format.
 
-    Raises ValueError for a header field the container cannot hold.
+    It checks nothing: `Header` and `EahPayload` refuse, when they are
+    built, every field the container's bytes cannot hold.
     """
-    if not 1 <= header.order <= 255:
-        raise ValueError(f"order must be between 1 and 255, got {header.order}")
-    if not 0 <= header.length < 1 << 64:
-        raise ValueError(f"length must fit in 64 bits, got {header.length}")
-    if not 0 <= payload.freq_width <= 255:
-        raise ValueError(f"freq_width must be between 0 and 255, got {payload.freq_width}")
     alphabet = header.alphabet.to_bytes()
-    if list(alphabet) != sorted(alphabet):
-        raise ValueError(f"alphabet must be in ascending byte order, got {alphabet!r}")
     fixed = _LEAD.pack(MAGIC, VERSION, header.order, len(alphabet) - 1)
     fixed += alphabet + _TAIL.pack(header.length, payload.freq_width)
     bits = BitWriter()
@@ -576,18 +580,15 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
         raise CorruptHeaderError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptHeaderError(f"unsupported version {version}")
-    if order < 1:
-        raise CorruptHeaderError("order must be >= 1")
     tail = _LEAD.size + m_minus_1 + 1  # _TAIL's offset, past the alphabet
     end = tail + _TAIL.size
     if len(blob) < end:
         raise TruncationError("container truncated inside the header")
-    symbols = blob[_LEAD.size : tail]
-    if list(symbols) != sorted(set(symbols)):  # encode writes them ascending
-        raise CorruptHeaderError("alphabet bytes are not strictly ascending")
-    alphabet = Alphabet(symbols)
     h, freq_width = _TAIL.unpack_from(blob, tail)
-    header = Header(order, alphabet, h)
+    try:  # an order of 0, or an alphabet encode never writes
+        header = Header(order, Alphabet(blob[_LEAD.size : tail]), h)
+    except ValueError as e:
+        raise CorruptHeaderError(str(e)) from None
     if h - order > 8 * (len(blob) - end):  # a codeword takes a bit at least
         raise TruncationError(f"container too short for {h - order} codewords")
 

@@ -18,9 +18,11 @@ corpus (every byte value, and an 'x' before every pair of hex digits), it
 also takes the DOT text of `build_graph` + `assign_codewords` +
 `export_dot` at orders 1-3 and the bits and phrase count of
 `lz78_encode`.  The script prints, per case, the mutants tried and how
-many outcomes differ between the two checkouts, then how many analysis
-views differ, and it exits with status 1 when any container, outcome or
-view differs.  Its name keeps pytest from collecting it.
+many outcomes differ between the two checkouts, with up to three of
+them; then, over all cases, each distinct (old outcome, new outcome)
+pair that differs with its count; then how many analysis views differ.
+It exits with status 1 when any container, outcome or view differs.
+Its name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import hashlib
 import importlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -139,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     old, old_views = outcomes(str(Path(args.old_src).resolve()), args.seed, args.flips)
     new, new_views = outcomes(str(Path(args.new_src).resolve()), args.seed, args.flips)
     total = differences = 0
+    pairs: Counter = Counter()
     for name, (old_blob, old_found) in old.items():
         new_blob, new_found = new[name]
         if old_blob != new_blob:
@@ -152,7 +156,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"    old {a}\n    new {b}")
         total += len(new_found)
         differences += len(diff)
+        pairs.update(diff)
     print(f"total: {total} mutants, {differences} differences")
+    for ((old_kind, old_text), (new_kind, new_text)), count in pairs.most_common():
+        print(f"{count:>7}x old {old_kind}: {old_text}\n{'':>9}new {new_kind}: {new_text}")
     compared = differing = 0
     for name, found in old_views.items():
         diff = [view for (view, a), (_, b) in zip(found, new_views[name]) if a != b]

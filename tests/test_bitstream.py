@@ -39,8 +39,9 @@ class TestBitString:
             BitString.from_int(5, -1)
 
     def test_from_str_rejects_other_characters(self):
-        with pytest.raises(ValueError):
-            BitString.from_str("012")
+        for text in ("012", "0b1", "1_0", " 1"):  # int(text, 2) parses the last three
+            with pytest.raises(ValueError, match="only '0' and '1'"):
+                BitString.from_str(text)
 
     def test_hash_and_eq(self):
         assert BitString.from_str("101") == BitString.from_str("101")

@@ -25,6 +25,7 @@ class TestEncodeDecode:
         out = capsys.readouterr().out
         assert "E=235" in out and "total=316" in out
         assert main(["decode", "-i", str(packed), "-o", str(restored)]) == 0
+        assert capsys.readouterr().out == "decoded 200 bytes\n"
         assert restored.read_bytes() == SAMPLE_200
 
     def test_higher_orders_round_trip(self, tmp_path, sample_file):
@@ -36,11 +37,21 @@ class TestEncodeDecode:
             assert restored.read_bytes() == SAMPLE_200
 
     def test_empty_input_fails(self, tmp_path, capsys):
-        empty = tmp_path / "empty.bin"
+        # encode, stats and bench all report the message of Alphabet.from_bytes
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        empty = corpus / "empty.bin"
         empty.write_bytes(b"")
-        out = tmp_path / "out.eah"
-        assert main(["encode", "-i", str(empty), "-o", str(out)]) != 0
-        assert "empty" in capsys.readouterr().err
+        out = tmp_path / "out"
+        for argv in (
+            ["encode", "-i", str(empty), "-o", str(out)],
+            ["stats", "-i", str(empty)],
+            ["bench", str(corpus), "--csv", str(out)],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.endswith("cannot derive an alphabet from empty data\n")
+            assert not out.exists()
 
     def test_unwritable_output_fails(self, tmp_path, sample_file, capsys):
         target = tmp_path / "missing" / "dir" / "out.eah"
@@ -123,6 +134,7 @@ class TestGraph:
         src.write_bytes(W9)
         dot = tmp_path / "w.dot"
         assert main(["graph", "-i", str(src), "-o", str(dot), "-n", "1"]) == 0
+        assert capsys.readouterr().out == f"wrote {dot} (6 vertices, 9 edges)\n"
         text = dot.read_text()
         assert '"a" -> "b" [label="(2,0)"];' in text
 
@@ -145,7 +157,7 @@ class TestGraph:
 
 
 class TestBench:
-    def test_corpus_csv(self, tmp_path, sample_file):
+    def test_corpus_csv(self, tmp_path, sample_file, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "b.bin").write_bytes(W9)
@@ -154,6 +166,7 @@ class TestBench:
         assert (
             main(["bench", str(corpus), "--orders", "2,1", "--csv", str(csv_path)]) == 0
         )
+        assert capsys.readouterr().out == f"wrote {csv_path} (4 rows)\n"
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "file,h,n,LEAHn,LH,LLZ,ratio"
         names = [line.split(",")[0:3] for line in lines[1:]]

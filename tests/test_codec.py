@@ -1,8 +1,10 @@
 import bisect
+import contextlib
 import dataclasses
 import gc
 import hashlib
 import random
+import signal
 import struct
 import tracemalloc
 from pathlib import Path
@@ -120,6 +122,22 @@ def _flip(bits: str, *positions: int) -> str:
     for k in positions:
         out[k] = "10"[int(out[k])]
     return "".join(out)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _assert_decodes_like_reference(payload, header, streams):
@@ -341,6 +359,19 @@ class TestDecode:
         with pytest.raises(TruncationError):
             decode(broken, header)
 
+    def test_stream_bound_refuses_the_model_before_the_loop(self):
+        # two lone contexts claim 2**40 codewords: past the 2-bit stream
+        # every load reads zeros, which decode to "a" in context "a", so
+        # only the stream bound in `_build_codes` keeps decode from
+        # running 2**40 steps
+        b = BitString.from_str
+        counts = BitString.from_int((2**40 - 1) << 40 | 1, 80)  # two 40-bit fields
+        payload = EahPayload(b("1"), b("11"), b("1100"), counts, b("00"), 40)
+        header = Header(1, Alphabet(b"ab"), 2**40 + 1)
+        with _deadline(5), pytest.raises(TruncationError) as caught:
+            decode(payload, header)
+        assert str(caught.value) == "stream needs more than the 2 bits left"
+
     def test_trailing_stream_bits_rejected(self):
         payload, header = encode(W9, 1)
         extra = BitString.from_str(payload.stream.to01() + "0")
@@ -362,23 +393,19 @@ class TestDecode:
             decode(payload, bad_header)
 
     def test_alphabet_out_of_order_rejected(self):
-        # serialize and deserialize refuse this header, which once decoded
-        # to b"baaba"; the check comes before any component is read
+        # decoded, this header would turn b"abbab" into b"baaba"; no
+        # container can hold it, so it cannot be built
         payload, header = encode(b"abbab", 1)
-        scrambled = dataclasses.replace(header, alphabet=Alphabet(b"ba"))
-        with pytest.raises(CorruptHeaderError, match="not strictly ascending"):
-            decode(payload, scrambled)
-        empty = EahPayload(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY, 0)
-        with pytest.raises(CorruptHeaderError, match="not strictly ascending"):
-            decode(empty, scrambled)
+        with pytest.raises(ValueError, match="not strictly ascending"):
+            decode(payload, dataclasses.replace(header, alphabet=Alphabet(b"ba")))
 
     @pytest.mark.parametrize("order", [0, 256])
     def test_order_outside_the_container_rejected(self, order):
         # at order 0 these fields decode to b"ab" unless the order is checked
-        # before any component is read
+        # before any component is read: the header cannot be built
         b = BitString.from_str
         payload = EahPayload(b(""), b("1"), b("11"), b("11"), b("01"), 1)
-        with pytest.raises(CorruptHeaderError, match=f"got {order}"):
+        with pytest.raises(ValueError, match=f"got {order}"):
             decode(payload, Header(order, Alphabet(b"ab"), 2))
 
     @pytest.mark.parametrize(
@@ -415,6 +442,19 @@ class TestDecode:
         blob = serialize(payload, dataclasses.replace(header, length=0))
         with pytest.raises(CorruptHeaderError):
             decompress(blob)
+
+    def test_prefix_index_outside_the_alphabet_rejected(self):
+        # the prefix indices 0, 1, 3 at width 2 under the alphabet "abc":
+        # unchecked, index 3 decodes to the byte 3, outside the alphabet
+        header = Header(3, Alphabet(b"abc"), 3)
+        payload = EahPayload(
+            BitString.from_str("000111"), BitString.from_int(0, 27), EMPTY, EMPTY, EMPTY, 0
+        )
+        message = "symbol index 3 outside alphabet of size 3"
+        with pytest.raises(CorruptHeaderError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptHeaderError, match=message):
+            decompress(serialize(payload, header))
 
     def test_symbol_missing_from_prefix_and_successors_rejected(self):
         # the prefix "ab" at order 3 (indices 0, 1 at width 2), framed with
@@ -961,6 +1001,21 @@ class TestContainer:
             with pytest.raises(TruncationError):
                 deserialize(blob[:cut])
 
+    def test_stream_cut_short_refused_by_its_bound(self):
+        # the codes built from the model price the stream before it is read
+        with pytest.raises(TruncationError) as caught:
+            deserialize(compress(SAMPLE_200, 1)[:-1])
+        assert str(caught.value) == "stream needs more than the 231 bits left"
+
+    def test_order_zero_container_refused_by_deserialize(self):
+        # "ab" framed at order 0: Header's ValueError leaves deserialize as
+        # a CorruptHeaderError, so decode is never handed the header
+        lead = codec._LEAD.pack(codec.MAGIC, codec.VERSION, 0, 1)
+        blob = lead + b"ab" + codec._TAIL.pack(2, 1) + b"\xfa"
+        assert len(blob) == 19
+        with pytest.raises(CorruptHeaderError, match="order must be between 1 and 255"):
+            deserialize(blob)
+
     def test_length_beyond_the_container_refused_before_the_model(self, monkeypatch):
         # every codeword takes a bit at least, so 2**40 symbols cannot fit
         # in a few bytes; the header alone must refuse it
@@ -1001,12 +1056,13 @@ class TestContainer:
         ],
     )
     def test_serialize_rejects_unframeable_fields(self, field, value):
+        # a field the container cannot hold is refused as it is built
         payload, header = encode(W9, 1)
-        if field == "freq_width":
-            payload = dataclasses.replace(payload, freq_width=value)
-        else:
-            header = dataclasses.replace(header, **{field: value})
         with pytest.raises(ValueError, match=field):
+            if field == "freq_width":
+                payload = dataclasses.replace(payload, freq_width=value)
+            else:
+                header = dataclasses.replace(header, **{field: value})
             serialize(payload, header)
 
     @pytest.mark.parametrize(
