@@ -19,10 +19,11 @@ so the codeword at a slot is the last one starting at or before it.  Up to
 TABLE_BITS, `ranks` is 2**L bytes, each start's rank repeated up to the
 next start; past it, (starts, by_start) for `bisect_right`.  A context's
 entry adds `syms`, its successors in code order; lone successors share
-`_LONE`.  `decode` loads _REFILL stream bits at a time into one int while
-fewer than L are unread, and peeks the next L bits as the slot.  Past the
-stream the int reads zeros; `_build_codes` bounds the h - n steps, and one
-test after them finds a truncation.
+`_LONE`.  `_decode_stream`, the one stream loop, loads _REFILL stream
+bits at a time into one int while fewer than L are unread, and peeks the
+next L bits as the slot.  Past the stream the int reads zeros;
+`_build_codes` bounds the h - n steps, and one test after them finds a
+truncation.
 
 The encoder runs no Python code per input symbol.  `_pair_keys` yields
 the key j*m + i (context index, successor index) of every position from
@@ -45,16 +46,21 @@ For order 1 a context followed by itself is recorded on the diagonal of
 successor_map (symbol index == context index), mirroring the aux-vertex
 routing of the transition graph.  `_write_v1` writes the four components
 before the stream and `_read_v1` is their one reader, the only code that
-scans the maps.  It reads through a `read(bit_count, component_name)`
-callable, so `deserialize` runs it over the container's bits and `decode`
-over the payload's own fields.  The decoder never sees the input.
+scans the maps.  It asks a `read(bit_count, component_name)` callable
+where each component lies, as (data, first bit, bit count), and scans
+the maps there: `_unpack` runs it over the container's bits in place and
+`decode` over the payload's own fields.  The decoder never sees the input.
 
-`deserialize` must build the decoder tables anyway, since the stream's
-length is only known from the codes; it hands them and the prefix indices
-to `decode` inside the payload, so `decompress` reads each component and
-builds the tables once.  `_read_v1` hands the rows over one at a time in
-reading order, so each is freed as its entry is built.  Reading the model
-and building the tables is most of the decompress CPU on model-heavy input.
+Only the codes fix the stream's length, so `_unpack` walks the container
+with one cursor, builds the decoder tables and says where each component
+lies.  `decompress` hands the prefix indices and the tables to
+`_decode_stream`, which reads the stream in place, so `decompress` reads
+each component and builds the tables once, and copies none of them.
+`deserialize` copies each component out into a plain payload and drops
+the tables, so a `decode` of that payload reads the model again.
+`_read_v1` hands the rows over one at a time in reading order, so each is
+freed as its entry is built.  Reading the model and building the tables
+is most of the decompress CPU on model-heavy input.
 
 Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
 
@@ -69,18 +75,20 @@ Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
                 stream, packed MSB-first, final byte zero-padded
 
 `Header` and `EahPayload` refuse a field these bytes cannot hold with
-ValueError, so `serialize` checks nothing: it writes the header and the
-five components through one `BitWriter` and returns its buffer, copied
-once.  `deserialize` reads them in place, through one `BitReader` past
-the header, and re-raises that ValueError as CorruptHeaderError.
+ValueError, so the one writer, `_pack`, checks nothing.  It writes the
+header and the five components through one `BitWriter`, dropping each
+from its list once it is written, and returns the buffer, copied once.
+`compress` keeps no payload, so each component of `encode`'s is freed as
+it is written; `serialize` hands `_pack` a fresh list of its payload's.
+`_unpack` re-raises that ValueError as CorruptHeaderError.
 
 The context map is m**n bits, the one part of a container that can grow
 far past its input.  `_successor_counts` refuses a model with more than
 MAX_CONTEXT_BITS possible contexts before it counts anything, so
 `encode`, `compress`, `leahn_length` and `graph.build_graph` share that
-budget.  `deserialize` takes none: it refuses a header that claims more
-codewords than the container has bits, `BitReader.read_bits` checks that
-the container holds a component's bits before it copies them, and
+budget.  Reading a container takes none: `_unpack` refuses a header that
+claims more codewords than the container has bits, checks that the
+container holds a component's bits before `_read_v1` reads them, and
 `_build_codes` stops once its codewords need more stream bits than remain.
 A valid container still pays one dict per marked context.
 """
@@ -92,7 +100,7 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, pairwise, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
@@ -112,7 +120,7 @@ VERSION = 1
 _LEAD = struct.Struct("<4s3B")  # magic, version, order, m - 1; then the alphabet
 _TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
-_REFILL = 48  # stream bits `decode` loads at once: a whole number of bytes
+_REFILL = 48  # stream bits `_decode_stream` loads at once: a whole number of bytes
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
 _CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
 
@@ -146,8 +154,6 @@ class EahPayload:
     freq_table: BitString
     stream: BitString
     freq_width: int  # bit width of each freq_table entry
-    # (header, prefix indices, decoder tables) that deserialize read, for decode
-    _tables: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.freq_width <= 255:
@@ -190,7 +196,7 @@ def _index_table(alphabet: Alphabet) -> bytes:
 
 def _context_index(indices: Iterable[int], m: int) -> int:
     """A window's symbol indices read as a base-m number, most significant
-    first.  `decode` rolls it forward inline, j = (j % m**(n-1)) * m + i,
+    first.  `_decode_stream` rolls it forward, j = (j % m**(n-1)) * m + i,
     as each symbol enters; `_pair_keys` reads it off whole windows."""
     j = 0
     for i in indices:
@@ -320,25 +326,33 @@ _NONZERO = bytes(1) + b"\x01" * 255  # byte -> 1 when any of its bits is set
 _find_ones = re.compile(rb"\x01").finditer
 
 
-def _scan_set_bits(bits: BitString) -> array:
-    """Ascending positions of set bits, 4 bytes apiece while they fit in
-    32 bits.
+def _scan_set_bits(data: bytes, start: int, nbits: int) -> array:
+    """Ascending positions, counted from `start`, of the set bits among
+    bits start .. start + nbits - 1 of `data`, 4 bytes apiece while they
+    fit in 32 bits.  The map is read in place, as a span of a container.
 
-    Each _SCAN_CHUNK-byte slice of the map is translated to a 0/1 mask in
-    which the nonzero bytes are found by searching for the literal byte 1:
-    `re` skips to a literal at memchr speed, but would test a class of
-    nonzero bytes one byte at a time.  Scratch memory is bounded by two
-    slices, the slice and its mask, not by a second copy of the map.
+    Each _SCAN_CHUNK-byte slice of the map is copied, its first byte's bits
+    before the span and its last byte's bits past it cleared, and
+    translated to a 0/1 mask in which the nonzero bytes are found by
+    searching for the literal byte 1: `re` skips to a literal at memchr
+    speed, but would test a class of nonzero bytes one byte at a time.
+    Scratch memory is bounded by two slices, the slice and its mask.
     """
-    data = bits.to_bytes()
-    out = array("I" if len(bits) <= 1 << 32 else "Q")
+    out = array("I" if nbits <= 1 << 32 else "Q")
     append = out.append
     offsets = _BIT_OFFSETS
-    for start in range(0, len(data), _SCAN_CHUNK):
-        chunk = data[start : start + _SCAN_CHUNK]
+    end = start + nbits
+    first, stop = start >> 3, (end + 7) >> 3
+    view = memoryview(data)
+    for lo in range(first, stop, _SCAN_CHUNK):
+        chunk = bytearray(view[lo : min(lo + _SCAN_CHUNK, stop)])
+        if lo == first:
+            chunk[0] &= 0xFF >> (start & 7)
+        if lo + len(chunk) == stop:
+            chunk[-1] &= 0xFF << (-end % 8) & 0xFF
         for match in _find_ones(chunk.translate(_NONZERO)):
             p = match.start()
-            base = (start + p) * 8
+            base = (lo + p) * 8 - start
             for k in offsets[chunk[p]]:
                 append(base + k)
     return out
@@ -379,12 +393,23 @@ def _write_v1(
     )
 
 
+def _uint(data: bytes, start: int, nbits: int) -> int:
+    """Bits start .. start + nbits - 1 of `data`, big-endian, as an int."""
+    end = start + nbits
+    value = int.from_bytes(data[start >> 3 : (end + 7) >> 3], "big") >> (-end % 8)
+    return value & ((1 << nbits) - 1)
+
+
+_Span = tuple[bytes, int, int]  # (data, first bit, bit count) of one component
+
+
 def _read_v1(
-    header: Header, freq_width: int, read: Callable[[int, str], BitString]
+    header: Header, freq_width: int, read: Callable[[int, str], _Span]
 ) -> tuple[bytes, Iterator[tuple[int, dict[int, int]]]]:
     """The v1 reader: the prefix's symbol indices and, used up once, the
     model's (context index, row) pairs, context index descending, each row
-    in symbol order; each component taken by `read(bit_count, component_name)`.
+    in symbol order; `read(bit_count, component_name)` says where each
+    component lies, and the maps are scanned there, in place.
 
     Raises CorruptHeaderError unless the components are exactly what
     `_write_v1` makes of some input of h symbols, in which every alphabet
@@ -394,13 +419,15 @@ def _read_v1(
     n = header.order
     w = (m - 1).bit_length()
     count = min(header.length, n)
-    head = bytes(_window(read(count * w, "prefix").uint(), 1 << w, count))
+    head = bytes(_window(_uint(*read(count * w, "prefix")), 1 << w, count))
     if head and max(head) >= m:
         raise CorruptHeaderError(f"symbol index {max(head)} outside alphabet of size {m}")
-    set_js = _scan_set_bits(read(m**n, "context_map"))
+    set_js = _scan_set_bits(*read(m**n, "context_map"))
     s = len(set_js)
-    marked = _scan_set_bits(read(m * s, "successor_map"))
-    fields = read(freq_width * len(marked), "freq_table").to01()
+    marked = _scan_set_bits(*read(m * s, "successor_map"))
+    nbits = freq_width * len(marked)
+    value = _uint(*read(nbits, "freq_table"))
+    fields = format(value, f"0{nbits}b") if nbits else ""
     step = freq_width or 1  # at width 0 there are no fields: `fields` is empty
     freqs = [int(fields[k : k + step], 2) for k in range(0, len(fields), step)]
     if 0 in freqs:
@@ -425,14 +452,14 @@ def _read_v1(
     return head, ((j, rows.pop()) for j in reversed(set_js))
 
 
-def _field_reader(payload: EahPayload) -> Callable[[int, str], BitString]:
+def _field_reader(payload: EahPayload) -> Callable[[int, str], _Span]:
     """`read` over a payload's own fields, each length-checked."""
 
-    def read(count: int, name: str) -> BitString:
+    def read(count: int, name: str) -> _Span:
         bits = getattr(payload, name)
         if len(bits) != count:
             raise CorruptHeaderError(f"{name} holds {len(bits)} bits, expected {count}")
-        return bits
+        return bits.to_bytes(), 0, count
 
     return read
 
@@ -488,33 +515,29 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     return payload, header
 
 
-def decode(payload: EahPayload, header: Header) -> bytes:
-    """Reconstruct the original bytes from a payload and its header.
-
-    `Header` holds its fields to what a container can; this checks the
-    components against them and raises a CodecError at the first fault.
-    """
+def _decode_stream(
+    header: Header, head: bytes, tables: dict, data: bytes, start: int, nbits: int
+) -> bytes:
+    """The h - n symbols after the prefix `head`, decoded through `tables`
+    from the stream at bits start .. start + nbits - 1 of `data`, whose
+    bits past the stream must read as zeros; then the whole input."""
     m = len(header.alphabet)
     n = header.order
-    h = header.length
-    cached = payload._tables
-    if cached is not None and cached[0] is header:
-        _, head, tables = cached
-    else:
-        head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
-        tables, _ = _build_codes(n, rows, len(payload.stream))
     symbols = bytes.maketrans(bytes(range(m)), header.alphabet.to_bytes())
 
     out = bytearray(head)
     j = _context_index(head, m)
-    nbits = len(payload.stream)
-    data = payload.stream.to_bytes()
-    acc = nacc = p = 0  # acc's low nacc bits are unread; p is the next byte
+    end = start + nbits
     load = _REFILL // 8
+    # acc's low nacc bits are unread, and p is the next byte to load; the
+    # first load starts at the stream's byte, past its bits before `start`
+    p = start >> 3
+    acc = int.from_bytes(data[p : p + load].ljust(load, b"\0"), "big")
+    p, nacc = p + load, _REFILL - (start & 7)
     tail = m ** (n - 1)
     append = out.append
     try:  # only tables[j] and lengths[r] can raise: each lookup is its check
-        for _ in range(h - n):
+        for _ in range(header.length - n):
             longest, ranks, lengths, syms = tables[j]
             while nacc < longest:  # past the stream, a load reads zeros
                 acc = (acc & ((1 << nacc) - 1)) << _REFILL
@@ -531,16 +554,29 @@ def decode(payload: EahPayload, header: Header) -> bytes:
             append(i)
             j = (j % tail) * m + i
     except (KeyError, IndexError) as e:  # past the stream, the test below raises
-        if 8 * p - nacc <= nbits:  # no row for j, or a slot no codeword prefixes
+        if 8 * p - nacc <= end:  # no row for j, or a slot no codeword prefixes
             if isinstance(e, KeyError):
                 raise CorruptStreamError(f"no code table for context index {j}") from None
             raise CorruptStreamError(f"undecodable codeword in context {j}") from None
-    if (pos := 8 * p - nacc) > nbits:
+    if (pos := 8 * p - nacc) > end:
         raise TruncationError("codeword stream ended early")
-    if pos != nbits:
-        raise TrailingGarbageError(f"{nbits - pos} bits left after the last symbol")
+    if pos != end:
+        raise TrailingGarbageError(f"{end - pos} bits left after the last symbol")
     out[:] = out.translate(symbols)  # in place: the output is held twice
     return bytes(out)
+
+
+def decode(payload: EahPayload, header: Header) -> bytes:
+    """Reconstruct the original bytes from a payload and its header.
+
+    `Header` holds its fields to what a container can; this reads the
+    payload's own components, checks them against the header and raises a
+    CodecError at the first fault.
+    """
+    head, rows = _read_v1(header, payload.freq_width, _field_reader(payload))
+    tables, _ = _build_codes(header.order, rows, len(payload.stream))
+    stream = payload.stream
+    return _decode_stream(header, head, tables, stream.to_bytes(), 0, len(stream))
 
 
 def leahn_length(word: bytes, order: int) -> int:
@@ -549,29 +585,36 @@ def leahn_length(word: bytes, order: int) -> int:
     return payload.total_bits()
 
 
+def _pack(header: Header, freq_width: int, components: list[BitString]) -> bytes:
+    """The container of `header` and the five components, in order, each
+    dropped from `components` once it is written."""
+    alphabet = header.alphabet.to_bytes()
+    fixed = _LEAD.pack(MAGIC, VERSION, header.order, len(alphabet) - 1)
+    fixed += alphabet + _TAIL.pack(header.length, freq_width)
+    bits = BitWriter()
+    bits.write_bits(BitString(fixed, 8 * len(fixed)))
+    while components:
+        bits.write_bits(components.pop(0))
+    return bits.getvalue().to_bytes()
+
+
 def serialize(payload: EahPayload, header: Header) -> bytes:
     """Pack a payload and header into the bit-exact container format.
 
     It checks nothing: `Header` and `EahPayload` refuse, when they are
     built, every field the container's bytes cannot hold.
     """
-    alphabet = header.alphabet.to_bytes()
-    fixed = _LEAD.pack(MAGIC, VERSION, header.order, len(alphabet) - 1)
-    fixed += alphabet + _TAIL.pack(header.length, payload.freq_width)
-    bits = BitWriter()
-    for component in (BitString(fixed, 8 * len(fixed)), *payload.components()):
-        bits.write_bits(component)
-    return bits.getvalue().to_bytes()
+    return _pack(header, payload.freq_width, [*payload.components()])
 
 
-def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
-    """Parse a container back into its payload and header.
+def _unpack(blob: bytes) -> tuple[Header, int, bytes, dict, dict[str, tuple[int, int]]]:
+    """Check a container and build its decoder tables: (header, freq_width,
+    prefix indices, tables, spans), where spans maps each component's name,
+    in order, to its first bit in `blob` and its bit count.
 
     The component boundaries are recovered from the bits themselves: the
     context map fixes the successor map's size, which fixes the frequency
-    table's, and the codes built from the model fix the stream's.  The
-    prefix indices and those decoder tables travel with the payload, so
-    `decode` of the same payload and header reads no component again.
+    table's, and the codes built from the model fix the stream's.
     """
     if len(blob) < _LEAD.size:
         raise TruncationError("container shorter than its fixed header")
@@ -592,35 +635,49 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     if h - order > 8 * (len(blob) - end):  # a codeword takes a bit at least
         raise TruncationError(f"container too short for {h - order} codewords")
 
-    reader = BitReader(blob)
-    reader.read_uint(8 * end)  # past the header, parsed above
-    components: dict[str, BitString] = {}
+    size = 8 * len(blob)
+    spans: dict[str, tuple[int, int]] = {}
+    pos = 8 * end  # one cursor, past the header
 
-    def read(count: int, name: str) -> BitString:
-        try:
-            bits = components[name] = reader.read_bits(count)
-        except TruncationError:
-            raise TruncationError(f"container truncated inside the {name}") from None
-        return bits
+    def read(count: int, name: str) -> _Span:
+        nonlocal pos
+        if count > size - pos:
+            raise TruncationError(f"container truncated inside the {name}")
+        spans[name] = pos, count
+        pos += count
+        return blob, pos - count, count
 
     head, rows = _read_v1(header, freq_width, read)
-    tables, stream_bits = _build_codes(order, rows, reader.remaining())
+    tables, stream_bits = _build_codes(order, rows, size - pos)
     read(stream_bits, "stream")
-    if reader.remaining() >= 8 or reader.read_uint(reader.remaining()):
+    if size - pos >= 8 or blob[-1] & ((1 << (size - pos)) - 1):
         raise TrailingGarbageError("container continues past the payload")
+    return header, freq_width, head, tables, spans
 
-    payload = EahPayload(freq_width=freq_width, **components)
-    object.__setattr__(payload, "_tables", (header, head, tables))
-    return payload, header
+
+def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
+    """Parse a container back into its payload and header, each component
+    copied out of `blob`.  It builds the decoder tables, since only the
+    codes fix the stream's length, and drops them: `decode` of the payload
+    reads the model again."""
+    header, freq_width, _, _, spans = _unpack(blob)
+    reader = BitReader(blob)
+    reader.read_uint(spans["prefix"][0])  # past the header
+    components = {name: reader.read_bits(count) for name, (_, count) in spans.items()}
+    return EahPayload(freq_width=freq_width, **components), header
 
 
 def compress(word: bytes, order: int) -> bytes:
     """Encode `word` and pack it into a container."""
     payload, header = encode(word, order)
-    return serialize(payload, header)
+    width, components = payload.freq_width, [*payload.components()]
+    del payload  # so `_pack` frees each component once it is written
+    return _pack(header, width, components)
 
 
 def decompress(blob: bytes) -> bytes:
-    """Unpack a container and reconstruct the original bytes."""
-    payload, header = deserialize(blob)
-    return decode(payload, header)
+    """Unpack a container and reconstruct the original bytes, reading the
+    model and the stream in place in `blob`."""
+    blob = bytes(blob)  # the stream loop pads its loads with `bytes.ljust`
+    header, _, head, tables, spans = _unpack(blob)
+    return _decode_stream(header, head, tables, blob, *spans["stream"])

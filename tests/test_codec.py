@@ -116,6 +116,14 @@ def _prefixing_ranks(codes: list, longest: int, slots: Iterable[int]) -> list[in
     return found
 
 
+def _decoder_tables(payload: EahPayload, header: Header) -> dict:
+    """The decoder entries, by context index, that `_build_codes` makes of
+    the model `_read_v1` reads off the payload's own fields."""
+    _, rows = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
+    tables, _ = codec._build_codes(header.order, rows, len(payload.stream))
+    return tables
+
+
 def _flip(bits: str, *positions: int) -> str:
     """`bits`, a '0'/'1' string, with the bits at `positions` inverted."""
     out = list(bits)
@@ -286,14 +294,19 @@ class TestDecode:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_decode_holds_its_output_twice(self, order):
-        # the index buffer it appends to and the returned copy, plus the
-        # stream and the buffer's growth slack; a third copy would pass 3x
+        # the stream loop holds the index buffer it appends to and the
+        # returned copy, plus the stream and the buffer's growth slack; a
+        # third copy would pass 3x.  The model is read before tracing starts
         word = _markov_text(72, 128 * 1024)
         payload, header = deserialize(compress(word, order))
+        stream = payload.stream
+        head, rows = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
+        tables, _ = codec._build_codes(order, rows, len(stream))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            assert decode(payload, header) == word
+            decoded = codec._decode_stream(header, head, tables, stream.to_bytes(), 0, len(stream))
+            assert decoded == word
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -619,15 +632,26 @@ class TestContextIndex:
 
 class TestScanSetBits:
     """`_scan_set_bits` against a bit-by-bit reference, on maps that span
-    several of the slices it masks at once."""
+    several of the slices it masks at once, each map scanned alone and in
+    place, inside set bits that the scan must not read."""
 
     SLICE_BITS = 8 * codec._SCAN_CHUNK
 
     @staticmethod
     def check(bits: BitString) -> None:
-        positions = codec._scan_set_bits(bits)
-        assert list(positions) == set_bit_positions(bits)
-        assert codec._bitmap(positions, len(bits)) == bits
+        expected = set_bit_positions(bits)
+        nbits = len(bits)
+        positions = codec._scan_set_bits(bits.to_bytes(), 0, nbits)
+        assert list(positions) == expected
+        assert codec._bitmap(positions, nbits) == bits
+        for lead in (*range(1, 8), 13):
+            # `lead` set bits before the map, then set bits to the end of
+            # its last byte and through one byte more
+            trail = 8 + -(lead + nbits) % 8
+            value = ((1 << lead) - 1) << (nbits + trail)
+            value |= bits.uint() << trail | ((1 << trail) - 1)
+            data = value.to_bytes((lead + nbits + trail) // 8, "big")
+            assert list(codec._scan_set_bits(data, lead, nbits)) == expected, lead
 
     @staticmethod
     def from_positions(positions, nbits: int) -> BitString:
@@ -670,7 +694,7 @@ class TestScanSetBits:
 class TestDecodeTables:
     def test_long_codewords_bisect_their_left_justified_starts(self):
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
-        longest, (starts, by_start), lengths, _ = payload._tables[2][0]
+        longest, (starts, by_start), lengths, _ = _decoder_tables(payload, header)[0]
         assert longest == 13 > codec.TABLE_BITS
         assert sorted(by_start) == list(range(len(lengths)))
         # the starts partition the 2**L slots: each codeword spans
@@ -689,7 +713,7 @@ class TestDecodeTables:
 
     def test_codewords_of_table_bits_use_a_table(self):
         payload, header = deserialize(compress(TABLE_BITS_WORD, 1))
-        longest, ranks, _, _ = payload._tables[2][0]
+        longest, ranks, _, _ = _decoder_tables(payload, header)[0]
         assert longest == codec.TABLE_BITS
         assert isinstance(ranks, bytes)
         assert decode(payload, header) == TABLE_BITS_WORD
@@ -711,12 +735,13 @@ class TestDecodeTables:
             calls.append(freqs)
             return original(freqs)
 
-        monkeypatch.setattr(codec, "code_pairs", counted)
         payload, header = deserialize(blob)
+        monkeypatch.setattr(codec, "code_pairs", counted)
+        tables = _decoder_tables(payload, header)
         assert len(calls) == len(set(vectors.values())) < len(vectors)
         first: dict[tuple, tuple] = {}
         for j, vector in vectors.items():
-            _, ranks, lengths, _ = payload._tables[2][j]
+            _, ranks, lengths, _ = tables[j]
             shared = first.setdefault(vector, (ranks, lengths))
             assert ranks is shared[0] and lengths is shared[1]
         assert decode(payload, header) == word
@@ -730,8 +755,8 @@ class TestDecodeTables:
         for n in (1, 2):
             payload, header = deserialize(compress(word, n))
             if n == 1:
-                longest = max(entry[0] for entry in payload._tables[2].values())
-                assert longest > codec.TABLE_BITS
+                tables = _decoder_tables(payload, header)
+                assert max(entry[0] for entry in tables.values()) > codec.TABLE_BITS
             assert decode(payload, header) == word, n
 
     @pytest.mark.parametrize("f", [1, 5])
@@ -775,7 +800,7 @@ class TestDecodeTables:
         # ranks fill a slot byte: rank 255 is a codeword's, not past `lengths`
         word = bytes(b for s in range(256) for b in (0, s))
         payload, header = deserialize(compress(word, 1))
-        longest, ranks, lengths, syms = payload._tables[2][0]
+        longest, ranks, lengths, syms = _decoder_tables(payload, header)[0]
         assert len(lengths) == 256 and sorted(syms) == list(range(256))
         assert isinstance(ranks, bytes) and len(ranks) == 1 << longest
         assert set(ranks) == set(range(256))
@@ -816,7 +841,7 @@ class TestDecodeTables:
         assert codec._code_order(1, 0, pairs) == ((1, 2, 0), (1, 1, 3))
         assert codec._code_order(1, 1, pairs) == ((0, 2, 1), (3, 1, 1))
         payload, header = deserialize(compress(word, 1))
-        tables = payload._tables[2]
+        tables = _decoder_tables(payload, header)
         assert tables[0][1] != tables[1][1]
         assert decode(payload, header) == word
 
@@ -902,7 +927,7 @@ class TestDecodeTables:
         # every codeword of LONG_CODE_WORD's context 0 is found by bisection,
         # and every other context is a lone one, read through its table
         payload, header = deserialize(compress(LONG_CODE_WORD, 1))
-        tables = payload._tables[2]
+        tables = _decoder_tables(payload, header)
         assert tables[0][0] > codec.TABLE_BITS
         assert all(tables[j][0] <= codec.TABLE_BITS for j in tables if j != 0)
         model = codec._successor_counts(LONG_CODE_WORD, 1, header.alphabet)
@@ -931,7 +956,8 @@ class TestDecodeTables:
     def test_decompress_builds_tables_once(self, monkeypatch):
         blob = compress(SAMPLE_200, 2)
         calls = []
-        for name in ("_read_v1", "_build_codes", "_scan_set_bits", "_field_reader"):
+        names = ("_unpack", "_read_v1", "_build_codes", "_scan_set_bits", "_decode_stream")
+        for name in (*names, "_field_reader", "deserialize", "decode"):
             original = getattr(codec, name)
 
             def counted(*args, _name=name, _original=original):
@@ -940,33 +966,18 @@ class TestDecodeTables:
 
             monkeypatch.setattr(codec, name, counted)
         assert decompress(blob) == SAMPLE_200
-        # one read of the prefix and the model, scanning each map once, one
-        # table build, and no field read again by decode
-        assert sorted(calls) == [
-            "_build_codes",
-            "_read_v1",
-            "_scan_set_bits",
-            "_scan_set_bits",
-        ]
+        # one read of the prefix and the model, in place, scanning each map
+        # once, one table build and one stream loop; no payload is built
+        assert sorted(calls) == sorted((*names, "_scan_set_bits"))
 
-    def test_handoff_survives_repeated_decodes(self):
-        # decode copies the handed-off prefix indices, never appends to them
+    def test_repeated_decodes_agree(self):
+        # decode reads only its payload's fields and its header's, so it
+        # gives the same bytes each time, and under an equal header
         payload, header = deserialize(compress(SAMPLE_200, 2))
         assert decode(payload, header) == SAMPLE_200
         assert decode(payload, header) == SAMPLE_200
         assert decode(payload, dataclasses.replace(header)) == SAMPLE_200
         assert decode(payload, header) == SAMPLE_200
-
-    def test_replaced_payload_rebuilds_its_tables(self):
-        payload, header = deserialize(compress(W9, 1))
-        bits = payload.freq_table.to01()
-        replaced = dataclasses.replace(
-            payload, freq_table=BitString.from_str("11" + bits[2:])
-        )
-        assert replaced._tables is None
-        with pytest.raises(CorruptHeaderError):
-            decode(replaced, header)
-        assert decode(dataclasses.replace(payload), header) == W9
 
 
 class TestContainer:
@@ -981,6 +992,14 @@ class TestContainer:
     def test_compress_decompress(self):
         assert decompress(compress(SAMPLE_200, 1)) == SAMPLE_200
         assert decompress(compress(b"aaaa", 2)) == b"aaaa"
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_containers(self, kind):
+        # decompress reads the stream in place, as bytes, from any
+        # bytes-like container
+        blob = compress(SAMPLE_200, 2)
+        assert decompress(kind(blob)) == SAMPLE_200
+        assert deserialize(kind(blob)) == deserialize(blob)
 
     def test_bad_magic(self):
         blob = bytearray(compress(W9, 1))
@@ -1133,9 +1152,9 @@ class TestContextBudget:
         assert len(payload.context_map) == codec.MAX_CONTEXT_BITS == 256**3
 
     def test_largest_map_round_trip_peaks(self):
-        # compress holds the context map, the one writer buffer and its one
-        # copy; decompress reads the container in place and copies only the
-        # context map out of it
+        # compress frees each component once it is written, so it holds the
+        # writer's buffer and its one copy; decompress reads the model and
+        # the stream in place, and copies no component out of the container
         word = bytes(range(256))
         blob = compress(word, 3)
         assert len(blob) > 2 << 20
@@ -1148,13 +1167,13 @@ class TestContextBudget:
             _, decompress_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert decompress_peak < 1.5 * len(blob)
-        assert compress_peak < 3.5 * len(blob)
+        assert decompress_peak < 0.25 * len(blob)
+        assert compress_peak < 2.5 * len(blob)
 
     def test_unaligned_map_round_trip_peaks(self):
         # a 21-bit prefix leaves the context map and everything after it off
-        # a byte boundary, so serialize and deserialize copy them through
-        # bounded integers rather than one integer per component
+        # a byte boundary: the writer copies them through bounded integers,
+        # one component at a time, and decompress scans them in place
         word = bytes(range(128)) * 2
         blob = compress(word, 3)
         assert len(blob) == 264_403
@@ -1167,8 +1186,8 @@ class TestContextBudget:
             _, decompress_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert decompress_peak < 2.5 * len(blob)
-        assert compress_peak < 3.5 * len(blob)
+        assert decompress_peak < 0.5 * len(blob)
+        assert compress_peak < 2.5 * len(blob)
 
     def test_order_2_markov_decompress_peaks(self):
         # the model read back is freed row by row as the tables are built,
