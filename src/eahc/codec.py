@@ -1,11 +1,14 @@
 """Order-n context-modeled Huffman codec and its container format.
 
-The context model is one dict, context index -> {successor symbol index
--> count}, as `_successor_counts` reads it off the input: the windows of
-n symbols that occur, and how often each symbol follows each of them.
-This module owns the context index, a window's symbol indices read as a
-base-m number (`_context_index`), and its inverse (`_window`).  The model
-is the transition graph of the paper; `graph.build_graph` and
+The context model is one flat map, pair key j*m + i -> count, as
+`_successor_counts` counts it off the input: j is the context index of a
+window of n symbols that occurs, i the index of a symbol that follows it,
+and the count how often it does.  The key is that window of n + 1 read as
+a base-m number.  This module owns the context index, a window's symbol
+indices read as a base-m number (`_context_index`), and its inverse
+(`_window`); `_by_context` puts the map in context-major order, its keys
+sorted and each context's run of successors in them.  The model is the
+edge list of the paper's transition graph; `graph.build_graph` and
 `graph.assign_codewords` are views of it and of `_successor_codes`, the
 Huffman code of one context, and ask this module for both numberings.
 
@@ -25,13 +28,17 @@ next L bits as the slot.  Past the stream the int reads zeros;
 `_build_codes` bounds the h - n steps, and one test after them finds a
 truncation.
 
-The encoder runs no Python code per input symbol.  `_pair_keys` yields
-the key j*m + i (context index, successor index) of every position from
-a chain of C-level `map`s; `_successor_counts` counts those keys with a
-`Counter`, and `encode` maps them through one flat dict, key -> codeword
-as '0'/'1' text, built from `_successor_codes` (a lone successor's
-codeword is "0", with no Huffman call).  It joins the codewords in
-bounded chunks of _CHUNK and turns each chunk into bits at once.
+The encoder runs no Python code per input symbol.  `_key_runs` packs
+the input's symbol indices into runs of digits once, and `_pair_keys`
+chains C-level `map`s over those runs into the pair key of every
+position, twice: `_successor_counts` counts the keys with a `Counter`,
+and the stream maps them through that same object.  In between,
+`_write_v1` writes the model from its context-major order, and `encode`
+turns the `Counter` into the codeword map in place, each count replaced
+by its pair's codeword as '0'/'1' text from `_successor_codes` (a lone
+successor's codeword is "0", with no Huffman call), so no second dict
+keyed by pair is built.  It joins the codewords in bounded chunks of
+_CHUNK and turns each chunk into bits at once.
 
 Format v1 codes the model as bitmaps and fixed-width counts, five bit
 components in all:
@@ -83,8 +90,8 @@ it is written; `serialize` hands `_pack` a fresh list of its payload's.
 `_unpack` re-raises that ValueError as CorruptHeaderError.
 
 The context map is m**n bits, the one part of a container that can grow
-far past its input.  `_successor_counts` refuses a model with more than
-MAX_CONTEXT_BITS possible contexts before it counts anything, so
+far past its input.  `_key_runs` refuses a model with more than
+MAX_CONTEXT_BITS possible contexts before it packs anything, so
 `encode`, `compress`, `leahn_length` and `graph.build_graph` share that
 budget.  Reading a container takes none: `_unpack` refuses a header that
 claims more codewords than the container has bits, checks that the
@@ -101,8 +108,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, pairwise, repeat
-from operator import add, mul
+from itertools import chain, islice, pairwise, repeat
+from operator import add, floordiv, mod, mul
 from typing import Callable, Iterable, Iterator
 
 from .adaptive_code import Alphabet
@@ -209,59 +216,80 @@ def _window(j: int, m: int, n: int) -> list[int]:
     return [j // m ** (n - 1 - k) % m for k in range(n)]
 
 
-def _pair_keys(t: bytes, m: int, n: int) -> Iterator[int]:
+_Runs = list[tuple[int, memoryview]]  # (m**w, packed run) per link of the key chain
+
+
+def _key_runs(t: bytes, m: int, n: int) -> _Runs:
+    """The packed runs `_pair_keys` chains over `t`, the input's symbol
+    indices, in chain order: (m**w, the run of w digits per byte, from
+    where its digits sit in a key).  Only the widths the chain reads are
+    kept.  Raises ValueError when m**n exceeds MAX_CONTEXT_BITS.
+
+    Runs of w digits are packed into bytes, P_2w[p] = P_w[p] * m**w +
+    P_w[p + w], while m**(2w) <= 256.  The chain takes the widest run while
+    it fits in n + 1 digits, then the binary decomposition of the rest,
+    widest first, so it stays a few levels deep at every order the budget
+    allows.  At m > 16 nothing is packed: every run is a view of `t`.
+    """
+    if m**n > MAX_CONTEXT_BITS:
+        raise ValueError(
+            f"order {n} over {m} symbols spans {m}**{n} contexts, "
+            f"over the limit of {MAX_CONTEXT_BITS}"
+        )
+    width = n + 1
+    widest = 1
+    while 2 * widest <= width and m ** (2 * widest) <= 256:
+        widest *= 2
+    rest = width % widest
+    chained = [widest] * (width // widest)
+    chained += [1 << k for k in reversed(range(rest.bit_length())) if rest >> k & 1]
+    packed = {}
+    p, w = t, 1
+    while True:
+        if w in chained:
+            packed[w] = p
+        if w == widest:
+            break
+        p = bytes(map(add, map(mul, p, repeat(m**w)), memoryview(p)[w:]))
+        w *= 2
+    runs, done = [], 0
+    for w in chained:
+        runs.append((m**w, memoryview(packed[w])[done:]))
+        done += w
+    return runs
+
+
+def _pair_keys(t: bytes, m: int, n: int, runs: _Runs | None = None) -> Iterator[int]:
     """j*m + i at every position of `t`, the input's symbol indices, that
     has n symbols after it: j is the context index of the n-symbol window
     there and i the index of the symbol after it, so the key is that
     window of n + 1 read as a base-m number.
 
     No Python code runs per symbol: the keys come out of a chain of
-    C-level `map`s.  Runs of w digits are first packed into bytes,
-    P_2w[p] = P_w[p] * m**w + P_w[p + w], while m**(2w) <= 256; the chain
-    then adds, from the widest run on, the widest packed run that still
-    fits in n + 1: the binary decomposition of n + 1, widest first, so it
-    stays a few levels deep at every order the budget allows.
+    C-level `map`s over `runs`, `_key_runs(t, m, n)` unless a caller that
+    chains them twice passes them.
     """
-    width = n + 1
-    widest = 1
-    while 2 * widest <= width and m ** (2 * widest) <= 256:
-        widest *= 2
-    packed = {1: t}
-    w = 1
-    while w < widest:
-        p = packed[w]
-        packed[2 * w] = bytes(map(add, map(mul, p, repeat(m**w)), memoryview(p)[w:]))
-        w *= 2
-    keys: Iterator[int] = iter(packed[widest])
-    done = widest
-    while done < width:
-        w = max(v for v in packed if done + v <= width)
-        keys = map(add, map(mul, keys, repeat(m**w)), memoryview(packed[w])[done:])
-        done += w
+    (_, first), *links = runs or _key_runs(t, m, n)
+    keys: Iterator[int] = iter(first)
+    for scale, run in links:
+        keys = map(add, map(mul, keys, repeat(scale)), run)
     return keys
 
 
-def _successor_counts(
-    word: bytes, order: int, alphabet: Alphabet
-) -> dict[int, dict[int, int]]:
-    """The context model of `word`: context index -> {successor symbol
-    index -> count}; empty when len(word) <= order.
+def _successor_counts(t: bytes, m: int, n: int, runs: _Runs | None = None) -> Counter[int]:
+    """The context model of `t`, the input's symbol indices: the count of
+    every pair key j*m + i that `_pair_keys` yields, in a `Counter`; empty
+    when len(t) <= n.  Raises ValueError when m**n exceeds
+    MAX_CONTEXT_BITS."""
+    return Counter(_pair_keys(t, m, n, runs))
 
-    Raises ValueError when m**n exceeds MAX_CONTEXT_BITS.
-    """
-    m = len(alphabet)
-    n = order
-    if m**n > MAX_CONTEXT_BITS:
-        raise ValueError(
-            f"order {n} over {m} symbols spans {m}**{n} contexts, "
-            f"over the limit of {MAX_CONTEXT_BITS}"
-        )
-    counts: dict[int, dict[int, int]] = {}
-    keys = _pair_keys(word.translate(_index_table(alphabet)), m, n)
-    for key, f in Counter(keys).items():
-        j, i = divmod(key, m)
-        counts.setdefault(j, {})[i] = f
-    return counts
+
+def _by_context(counts: dict[int, int], m: int) -> tuple[list[int], Counter[int]]:
+    """The model's keys in context-major order, the model's own key objects,
+    and each context's run of successors in them: context index -> run
+    length, context index ascending."""
+    keys = sorted(counts)
+    return keys, Counter(map(floordiv, keys, repeat(m)))
 
 
 def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | tuple, bytes, int]:
@@ -367,30 +395,30 @@ def _bitmap(positions: Iterable[int], nbits: int) -> BitString:
 
 
 def _write_v1(
-    header: Header, head: bytes, counts: dict[int, dict[int, int]]
+    header: Header, head: bytes, counts: dict[int, int], keys: list[int], sizes: dict[int, int]
 ) -> tuple[BitString, BitString, BitString, BitString, int]:
     """The v1 writer: the prefix of `head`'s symbol indices, context_map,
     successor_map, freq_table and the frequency field width, laid out as
-    `_read_v1` reads them, each count looked up by its map position."""
+    `_read_v1` reads them, from the flat model `counts` and its
+    context-major order `keys, sizes = _by_context(counts, m)`."""
     m = len(header.alphabet)
     w = (m - 1).bit_length()
-    set_js = sorted(counts)
-    s = len(set_js)
-    # successor_map positions of the marked pairs, i * s + r, in map order
-    marked = sorted(i * s + r for r, j in enumerate(set_js) for i in counts[j])
-    widest = max((f for row in counts.values() for f in row.values()), default=0)
-    freq_width = widest.bit_length()
+    s = len(sizes)
+    # successor_map positions i * s + r, in context order: `_bitmap` needs
+    # no sorted input
+    ranks = chain.from_iterable(map(repeat, range(s), sizes.values()))
+    marked = map(add, map(mul, map(mod, keys, repeat(m)), repeat(s)), ranks)
+    # w-bit fields, most significant first: the indices as a base-2**w number
+    prefix = BitString.from_int(_context_index(head, 1 << w), len(head) * w)
+    context_map = _bitmap(sizes, m**header.order)
+    successor_map = _bitmap(marked, m * s)
+    freq_width = max(counts.values(), default=0).bit_length()
     freq_table = BitWriter()
-    for pos in marked:
-        freq_table.write_uint(counts[set_js[pos % s]][pos // s], freq_width)
-    return (
-        # w-bit fields, most significant first: the indices as a base-2**w number
-        BitString.from_int(_context_index(head, 1 << w), len(head) * w),
-        _bitmap(set_js, m**header.order),
-        _bitmap(marked, m * s),
-        freq_table.getvalue(),
-        freq_width,
-    )
+    # the fields in map order, symbol-major: a stable sort of the
+    # context-major keys by symbol
+    for f in map(counts.__getitem__, sorted(keys, key=m.__rmod__)):
+        freq_table.write_uint(f, freq_width)
+    return prefix, context_map, successor_map, freq_table.getvalue(), freq_width
 
 
 def _uint(data: bytes, start: int, nbits: int) -> int:
@@ -478,28 +506,32 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     n = order
     h = len(word)
     header = Header(n, alphabet, h)
-    counts = _successor_counts(word, n, alphabet)
-    idx = _index_table(alphabet)
+    t = word.translate(_index_table(alphabet))
+    runs = _key_runs(t, m, n)  # packed once, chained for the counts and the stream
+    counts = _successor_counts(t, m, n, runs)
+    keys, sizes = _by_context(counts, m)
     prefix, context_map, successor_map, freq_table, freq_width = _write_v1(
-        header, word[:n].translate(idx), counts
+        header, t[:n], counts, keys, sizes
     )
 
-    # one flat map j*m + i -> codeword as '0'/'1' text, each text shared
-    # by every pair with the same (value, length)
-    codewords: dict[int, str] = {}
+    # the model becomes the codeword map in place, key -> codeword as
+    # '0'/'1' text, each text shared by every pair with the same (value, length)
+    codewords: dict = counts
     texts: dict[tuple[int, int], str] = {}
-    while counts:  # each row popped, so the model is gone before the stream
-        j, row = counts.popitem()
-        if len(row) == 1:
-            codewords[j * m + next(iter(row))] = "0"
-            continue
-        for i, value, length in _successor_codes(n, j, sorted(row.items())):
-            text = texts.get((value, length))
-            if text is None:
-                text = texts[value, length] = format(value, f"0{length}b")
-            codewords[j * m + i] = text
+    start = 0
+    for j, k in sizes.items():
+        if k == 1:
+            codewords[keys[start]] = "0"
+        else:
+            pairs = [(key - j * m, counts[key]) for key in keys[start : start + k]]
+            for i, value, length in _successor_codes(n, j, pairs):
+                text = texts.get((value, length))
+                if text is None:
+                    text = texts[value, length] = format(value, f"0{length}b")
+                codewords[j * m + i] = text
+        start += k
 
-    words = map(codewords.__getitem__, _pair_keys(word.translate(idx), m, n))
+    words = map(codewords.__getitem__, _pair_keys(t, m, n, runs))
     stream = BitWriter()
     while chunk := "".join(islice(words, _CHUNK)):
         stream.write_uint(int(chunk, 2), len(chunk))

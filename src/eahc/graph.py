@@ -1,15 +1,17 @@
 """Transition graph of order n for a symbol string.
 
-The graph is a view of the codec's context model.  Base vertices are the
-length-n windows of the string together with the symbols that follow
-them; a directed edge (context, symbol) carries the number of positions
-where that transition occurs, taken from `codec._successor_counts`, and
-its codeword comes from `codec._successor_codes`, the code the encoder
-emits for it; the codec's `_context_index` and `_window` give a window's
-index and an index's window.  For order 1, an immediate repeat of a
-symbol is routed through a companion aux vertex instead of a self-loop;
-the aux return edge and, for n >= 2, the symbol-to-window linking edges
-are structural only (frequency 0, empty codeword).
+The graph is a view of the codec's context model, its edge list.  Base
+vertices are the length-n windows of the string together with the
+symbols that follow them; a directed edge (context, symbol) carries the
+number of positions where that transition occurs, the count of its pair
+key j*m + i in the codec's flat model (`codec._successor_counts`), read
+one context at a time in `codec._by_context` order, and its codeword
+comes from `codec._successor_codes`, the code the encoder emits for it;
+the codec's `_context_index` and `_window` give a window's index and an
+index's window.  For order 1, an immediate repeat of a symbol is routed
+through a companion aux vertex instead of a self-loop; the aux return
+edge and, for n >= 2, the symbol-to-window linking edges are structural
+only (frequency 0, empty codeword).
 
 The graph stores only its labelled edges; V is the set of their
 endpoints, and a string no longer than n yields the empty graph.
@@ -84,11 +86,18 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     symbols = g.alphabet.to_bytes()
     m = len(symbols)
     vertex = [Vertex(symbols[i : i + 1]) for i in range(m)]  # one per symbol
-    first = codec._context_index(map(g.alphabet.index, word[:n]), m)
-    for j, row in codec._successor_counts(word, n, g.alphabet).items():
+    t = word.translate(codec._index_table(g.alphabet))
+    first = codec._context_index(t[:n], m)
+    counts = codec._successor_counts(t, m, n)
+    keys, sizes = codec._by_context(counts, m)
+    start = 0
+    for j, k in sizes.items():  # each context's run of pair keys j*m + i
         window = bytes(symbols[i] for i in codec._window(j, m, n))
         context = Vertex(window)
-        for i, f in row.items():
+        row = keys[start : start + k]
+        start += k
+        for key in row:
+            i, f = key - j * m, counts[key]
             if n == 1 and i == j:
                 aux = Vertex(window, aux=True)
                 g.labels[(vertex[i], aux)] = EdgeLabel(f)
@@ -97,7 +106,7 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
                 g.labels[(context, vertex[i])] = EdgeLabel(f)
         # a window starting after position 0 is entered from its last
         # symbol, j % m; the first window starts there, so it needs a second start
-        if n >= 2 and (j != first or sum(row.values()) > 1):
+        if n >= 2 and (j != first or sum(map(counts.__getitem__, row)) > 1):
             g.labels[(vertex[j % m], context)] = EdgeLabel()
     return g
 

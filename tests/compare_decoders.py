@@ -34,9 +34,10 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import SAMPLE_200, long_code_word  # noqa: E402  (imports no eahc)
+from oracles import SAMPLE_200, de_bruijn_word, long_code_word  # noqa: E402  (imports no eahc)
 
 CUT_BYTES = 300
 
@@ -45,6 +46,16 @@ def _skewed(seed: int, size: int, m: int) -> bytes:
     """`size` seeded bytes over m symbols, symbol s drawn with weight s + 1."""
     rng = random.Random(seed)
     return bytes(rng.choices(range(97, 97 + m), weights=range(1, m + 1), k=size))
+
+
+def _uniform(seed: int, size: int, m: int) -> bytes:
+    """`size` seeded bytes drawn uniformly from m sampled byte values, each
+    of which occurs: a string of the `many-small` benchmark's shape."""
+    rng = random.Random(seed)
+    symbols = rng.sample(range(256), m)
+    word = symbols + rng.choices(symbols, k=size - m)
+    rng.shuffle(word)
+    return bytes(word)
 
 
 def cases(seed: int) -> list[tuple[str, bytes, int]]:
@@ -58,6 +69,8 @@ def cases(seed: int) -> list[tuple[str, bytes, int]]:
         ("skewed-1", _skewed(seed, 6000, 20), 1),
         ("skewed-3", _skewed(seed + 1, 3000, 6), 3),
         ("random-2", random.Random(seed + 2).randbytes(1500), 2),
+        ("de-bruijn-12", de_bruijn_word(2, 12), 12),  # every context distinct
+        ("uniform-3", _uniform(seed + 3, 1000, 150), 3),
     ]
 
 
@@ -71,17 +84,18 @@ def escape_corpus(seed: int) -> bytes:
     return b"".join(chunks)
 
 
-def mutants(blob: bytes, seed: int, flips: int) -> list[bytes]:
-    """Every cut of the last CUT_BYTES bytes, then the seeded flips."""
-    out = [blob[:k] for k in range(max(len(blob) - CUT_BYTES, 0), len(blob))]
+def mutants(blob: bytes, seed: int, flips: int) -> Iterator[bytes]:
+    """Every cut of the last CUT_BYTES bytes, then the seeded flips, one
+    at a time: 3,000 mutants of a 400 KB container would take 1.2 GB."""
+    for k in range(max(len(blob) - CUT_BYTES, 0), len(blob)):
+        yield blob[:k]
     rng = random.Random(seed)
     for count in (1, 2):
         for _ in range(flips):
             damaged = bytearray(blob)
             for pos in rng.sample(range(8 * len(blob)), count):
                 damaged[pos >> 3] ^= 0x80 >> (pos & 7)
-            out.append(bytes(damaged))
-    return out
+            yield bytes(damaged)
 
 
 def _digest(text: str) -> str:

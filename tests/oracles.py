@@ -29,6 +29,29 @@ def long_code_word(k: int) -> bytes:
     return bytes(b for s in successors for b in (0, s))
 
 
+def de_bruijn_word(k: int, n: int) -> bytes:
+    """The de Bruijn sequence B(k, n) over the bytes 0..k-1, the least in
+    lexicographic order, followed by its first n symbols: each of the k**n
+    windows of n symbols occurs once with a successor after it, and the
+    first window ends the input again."""
+    a = [0] * (n + 1)
+    out: list[int] = []
+
+    def extend(t: int, p: int) -> None:
+        if t > n:
+            if n % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        for b in range(a[t - p] + 1, k):
+            a[t] = b
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return bytes(out + out[:n])
+
+
 def scan_transition_counts(word: bytes, order: int) -> dict[tuple[bytes, int, bool], int]:
     """Count every (context window, successor) occurrence by brute scan.
 

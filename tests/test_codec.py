@@ -7,6 +7,7 @@ import random
 import signal
 import struct
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -37,6 +38,7 @@ from eahc.graph import assign_codewords, build_graph
 from oracles import (
     SAMPLE_200,
     assert_component_identities,
+    de_bruijn_word,
     long_code_word,
     reference_stream_decode,
     scan_transition_counts,
@@ -70,6 +72,29 @@ def _markov_text(seed: int, size: int) -> bytes:
     return bytes(out)
 
 
+def _model(word: bytes, order: int) -> Counter:
+    """The codec's flat model of `word`: pair key j*m + i -> count."""
+    alphabet = Alphabet.from_bytes(word)
+    t = word.translate(codec._index_table(alphabet))
+    return codec._successor_counts(t, len(alphabet), order)
+
+
+def _rows(model: dict[int, int], m: int) -> dict[int, dict[int, int]]:
+    """A flat model grouped by context: context index -> {successor index
+    -> count}, context index ascending, each row in symbol order."""
+    rows: dict[int, dict[int, int]] = {}
+    for key in sorted(model):
+        j, i = divmod(key, m)
+        rows.setdefault(j, {})[i] = model[key]
+    return rows
+
+
+def _write_model(header: Header, head: bytes, counts: dict[int, int]) -> tuple:
+    """`_write_v1` of a flat model, in the context-major order it takes."""
+    keys, sizes = codec._by_context(counts, len(header.alphabet))
+    return codec._write_v1(header, head, counts, keys, sizes)
+
+
 def _model_without_stream() -> bytes:
     """m = 13 at order 3: all 2,197 contexts are followed by all 13 symbols
     with Fibonacci counts, so every decoder table would hold 4,096
@@ -77,9 +102,9 @@ def _model_without_stream() -> bytes:
     fib = [1, 1]
     while len(fib) < 13:
         fib.append(fib[-1] + fib[-2])
-    counts = {j: dict(enumerate(fib)) for j in range(13**3)}
+    counts = {j * 13 + i: f for j in range(13**3) for i, f in enumerate(fib)}
     header = Header(3, Alphabet(bytes(range(13))), 3 + 13**3 * sum(fib))
-    prefix, context_map, successor_map, freq_table, width = codec._write_v1(
+    prefix, context_map, successor_map, freq_table, width = _write_model(
         header, bytes(3), counts
     )
     payload = EahPayload(prefix, context_map, successor_map, freq_table, EMPTY, width)
@@ -336,9 +361,14 @@ class TestDecode:
 
     def test_marked_context_without_successor_rejected(self):
         payload, header = encode(SAMPLE_200, 2)
-        counts = codec._successor_counts(SAMPLE_200, 2, header.alphabet)
-        counts[next(j for j in range(len(payload.context_map)) if j not in counts)] = {}
-        _, context_map, successor_map, _, _ = codec._write_v1(header, b"", counts)
+        counts = _model(SAMPLE_200, 2)
+        keys, sizes = codec._by_context(counts, len(header.alphabet))
+        # one more context in the map, with a run of no successors
+        empty = next(j for j in range(len(payload.context_map)) if j not in sizes)
+        sizes = dict(sorted({**sizes, empty: 0}.items()))
+        _, context_map, successor_map, _, _ = codec._write_v1(
+            header, b"", counts, keys, sizes
+        )
         replaced = dataclasses.replace(
             payload, context_map=context_map, successor_map=successor_map
         )
@@ -438,7 +468,9 @@ class TestDecode:
         head, pairs = codec._read_v1(header, width, codec._field_reader(payload))
         assert head == word[:order].translate(codec._index_table(header.alphabet))
         model = dict(pairs)
-        assert model == codec._successor_counts(word, order, header.alphabet)
+        m = len(header.alphabet)
+        flat = {j * m + i: f for j, row in model.items() for i, f in row.items()}
+        assert flat == _scanned_model(word, order)
         # context index descending, each row in symbol order
         assert list(model) == sorted(model, reverse=True)
         assert all(list(row) == sorted(row) for row in model.values())
@@ -497,16 +529,16 @@ def _key_cases(m: int) -> list[tuple[bytes, int]]:
     return [(word, n) for n in orders] + short
 
 
-def _scanned_model(word: bytes, order: int) -> dict[int, dict[int, int]]:
-    """`scan_transition_counts` re-keyed to context index -> {successor
-    index -> count}."""
+def _scanned_model(word: bytes, order: int) -> dict[int, int]:
+    """`scan_transition_counts` re-keyed to the flat model: the window and
+    its successor read as a base-m number, j*m + i -> count."""
     index = {b: k for k, b in enumerate(sorted(set(word)))}
-    model: dict[int, dict[int, int]] = {}
+    model: dict[int, int] = {}
     for (window, successor, _), f in scan_transition_counts(word, order).items():
-        j = 0
-        for b in window:
-            j = j * len(index) + index[b]
-        model.setdefault(j, {})[index[successor]] = f
+        key = 0
+        for b in window + bytes((successor,)):
+            key = key * len(index) + index[b]
+        model[key] = f
     return model
 
 
@@ -516,7 +548,7 @@ def _write_uint_stream(word: bytes, order: int) -> BitString:
     index = {b: k for k, b in enumerate(sorted(set(word)))}
     m = len(index)
     codes = {}
-    for j, row in _scanned_model(word, order).items():
+    for j, row in _rows(_scanned_model(word, order), m).items():
         pairs = codec._successor_codes(order, j, sorted(row.items()))
         codes[j] = {i: (value, length) for i, value, length in pairs}
     out = BitWriter()
@@ -540,7 +572,7 @@ class TestCompressPath:
     @pytest.mark.parametrize("m", KEY_ALPHABET_SIZES)
     def test_counts_match_position_scan(self, m):
         for word, n in _key_cases(m):
-            counts = codec._successor_counts(word, n, Alphabet.from_bytes(word))
+            counts = _model(word, n)
             assert counts == _scanned_model(word, n), (m, n, len(word))
             assert bool(counts) == (len(word) > n)
 
@@ -578,18 +610,49 @@ class TestCompressPath:
         assert calls == ["_successor_counts"]
         assert decompress(blob) == SAMPLE_200
 
-    def test_encode_empties_the_model(self, monkeypatch):
+    def test_stream_is_mapped_through_the_counted_model(self, monkeypatch):
+        # the model `_successor_counts` returns becomes the codeword map:
+        # every codeword of the stream is looked up in that one object
+        looked_up = []
+
+        class Model(Counter):
+            def __getitem__(self, key):
+                looked_up.append(value := super().__getitem__(key))
+                return value
+
         models = []
         original = codec._successor_counts
 
         def kept(*args):
-            models.append(original(*args))
+            models.append(Model(original(*args)))
             return models[-1]
 
         monkeypatch.setattr(codec, "_successor_counts", kept)
         payload, header = encode(SAMPLE_200, 2)
-        assert models == [{}]
+        (model,) = models
+        assert set(model) == set(_scanned_model(SAMPLE_200, 2))
+        codewords = [v for v in looked_up if isinstance(v, str)]
+        assert len(codewords) == len(SAMPLE_200) - 2
+        assert "".join(codewords) == payload.stream.to01()
+        assert all(isinstance(v, str) for v in model.values())
         assert decode(payload, header) == SAMPLE_200
+
+    def test_encode_packs_the_key_runs_once(self, monkeypatch):
+        # both passes over the keys, the count and the stream, chain over
+        # the same packed runs: b"a" at order 255 packs 8 levels of them
+        calls = []
+        original = codec._key_runs
+
+        def counted(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(codec, "_key_runs", counted)
+        word = b"a" * 1000
+        payload, header = encode(word, 255)
+        assert calls == [(1, 255)]
+        assert payload.stream == _write_uint_stream(word, 255)
+        assert decode(payload, header) == word
 
     def test_key_chain_depth_does_not_grow_with_order(self):
         # an unpacked chain is two maps per digit: 512 at (1, 255)
@@ -703,7 +766,7 @@ class TestDecodeTables:
         spans = [1 << (longest - lengths[r]) for r in by_start]
         assert list(starts[1:]) == [a + w for a, w in zip(starts, spans)][:-1]
         assert starts[-1] + spans[-1] == 1 << longest
-        model = codec._successor_counts(LONG_CODE_WORD, 1, header.alphabet)
+        model = _rows(_model(LONG_CODE_WORD, 1), len(header.alphabet))
         _, freqs = codec._code_order(1, 0, sorted(model[0].items()))
         codes = codec.code_pairs(freqs)
         for slot in range(1 << longest):
@@ -721,7 +784,7 @@ class TestDecodeTables:
     def test_equal_count_vectors_share_one_table(self, monkeypatch):
         word = random.Random(7).randbytes(4000)
         blob = compress(word, 2)
-        model = codec._successor_counts(word, 2, Alphabet.from_bytes(word))
+        model = _rows(_model(word, 2), len(Alphabet.from_bytes(word)))
         # at order 2 the code order is ascending symbol order
         vectors = {
             j: tuple(f for _, f in sorted(row.items()))
@@ -822,7 +885,7 @@ class TestDecodeTables:
         # prefix "ab" enters context 1, whose lone successor a leads to
         # context 2, which has no row
         header = Header(2, Alphabet(b"ab"), 4)
-        *fields, width = codec._write_v1(header, bytes((0, 1)), {1: {0: 2}})
+        *fields, width = _write_model(header, bytes((0, 1)), {1 * 2 + 0: 2})
         payload = EahPayload(*fields, BitString.from_int(0, 2), width)
         message = "no code table for context index 2"
         with pytest.raises(CorruptStreamError, match=message):
@@ -835,7 +898,7 @@ class TestDecodeTables:
         # once: equal rows, but the repeat successor codes last, so their
         # count tuples in code order differ
         word = b"bbcbaaaabacba"
-        model = codec._successor_counts(word, 1, Alphabet.from_bytes(word))
+        model = _rows(_model(word, 1), 3)
         assert model[0] == model[1] == {0: 3, 1: 1, 2: 1}
         pairs = sorted(model[0].items())
         assert codec._code_order(1, 0, pairs) == ((1, 2, 0), (1, 1, 3))
@@ -930,7 +993,7 @@ class TestDecodeTables:
         tables = _decoder_tables(payload, header)
         assert tables[0][0] > codec.TABLE_BITS
         assert all(tables[j][0] <= codec.TABLE_BITS for j in tables if j != 0)
-        model = codec._successor_counts(LONG_CODE_WORD, 1, header.alphabet)
+        model = _rows(_model(LONG_CODE_WORD, 1), len(header.alphabet))
         lengths = {
             (j, i): length
             for j, row in model.items()
@@ -1204,8 +1267,8 @@ class TestContextBudget:
         assert peak < 32 * len(blob)
 
     def test_order_2_markov_compress_peaks(self):
-        # the frequency table is written from the successor map's positions
-        # as plain ints, with no (position, count) tuple per marked pair
+        # the frequency table is written from the model's own keys in symbol
+        # order, with no (position, count) tuple per marked pair
         word = _markov_text(71, 32 * 1024)
         tracemalloc.start()
         try:
@@ -1214,6 +1277,21 @@ class TestContextBudget:
         finally:
             tracemalloc.stop()
         assert peak < 85 * len(word)
+
+    def test_every_context_distinct_compress_peaks(self):
+        # B(2, 16) at order 16: 65,536 contexts, each with one successor, so
+        # the model has a pair per position; it is held once, as the flat
+        # count map that becomes the codeword map
+        word = de_bruijn_word(2, 16)
+        assert len(word) == 65_552
+        tracemalloc.start()
+        try:
+            blob = compress(word, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20
+        assert decompress(blob) == word
 
     def test_order_2_random_bytes_decompress_peaks(self):
         # 14,435 contexts, 12,655 of them with one successor and a shared
