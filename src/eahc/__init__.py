@@ -12,7 +12,6 @@ from .adaptive_code import (
     CodeTable,
     decode_with_table,
     extend,
-    validate_prefix_condition,
 )
 from .baselines import (
     huffman_stream_length,
@@ -55,7 +54,6 @@ __all__ = [
     "CodeTable",
     "decode_with_table",
     "extend",
-    "validate_prefix_condition",
     "huffman_stream_length",
     "lz78_decode",
     "lz78_encode",

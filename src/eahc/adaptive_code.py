@@ -2,14 +2,14 @@
 
 A table of order n assigns every symbol a codeword in every stored
 context (a context is the string of up to n preceding symbols, including
-the empty context for the first position).  If each context's codeword
-set is a prefix code, the extension of the table to whole strings is
-injective, so encoded strings decode uniquely.
+the empty context for the first position).  `CodeTable` refuses a
+context whose codewords do not form a prefix code, so the extension of
+every table to whole strings is injective and `decode_with_table`
+inverts `extend`.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bitstream import BitString, BitWriter
@@ -29,7 +29,9 @@ class Alphabet:
     def __init__(self, symbols: Iterable[int]):
         syms = tuple(symbols)
         if not 1 <= len(syms) <= 256:
-            raise ValueError("alphabet must hold between 1 and 256 symbols")
+            raise ValueError(
+                f"alphabet must hold between 1 and 256 symbols, got {len(syms)}"
+            )
         if any(not 0 <= s <= 255 for s in syms):
             raise ValueError("symbols must be byte values")
         if len(set(syms)) != len(syms):
@@ -40,8 +42,6 @@ class Alphabet:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Alphabet":
         """The distinct bytes of `data` in ascending value order."""
-        if not data:
-            raise ValueError("cannot derive an alphabet from empty data")
         return cls(sorted(set(data)))
 
     def index(self, symbol: int) -> int:
@@ -78,10 +78,11 @@ class CodeTable:
     """Codewords per (symbol, context) for contexts up to length `order`.
 
     `contexts` maps each stored context (a bytes key; b"" is the empty
-    context) to a full symbol -> BitString map.  Each context's decoder,
-    its key -> symbol map and longest codeword length, is built here too,
-    so tables are immutable after construction and safe to share.  A
-    codeword's key is its bits behind a leading marker bit.
+    context) to a full symbol -> BitString map whose codewords form a
+    prefix code, so no two are equal.  Each context's decoder, its key ->
+    symbol map and longest codeword length, is built here too, so tables
+    are immutable after construction and safe to share.  A codeword's key
+    is its bits behind a leading marker bit.
     """
 
     def __init__(
@@ -107,6 +108,9 @@ class CodeTable:
                 )
             if any(len(code) == 0 for code in column.values()):
                 raise ValueError("codewords must be nonempty")
+            words = sorted(code.to01() for code in column.values())
+            if any(b.startswith(a) for a, b in zip(words, words[1:])):
+                raise ValueError(f"context {ctx!r} codewords must form a prefix code")
             frozen[ctx] = dict(column)
             decoders[ctx] = (
                 {code.uint() | 1 << len(code): sym for sym, code in column.items()},
@@ -115,15 +119,8 @@ class CodeTable:
         self._contexts = frozen
         self._decoders = decoders
 
-    def context(self, ctx: bytes) -> Mapping[int, BitString]:
-        """A read-only view of one context's symbol -> codeword map."""
-        return MappingProxyType(self._contexts[ctx])
-
     def __contains__(self, ctx: bytes) -> bool:
         return ctx in self._contexts
-
-    def contexts(self):
-        return self._contexts.keys()
 
 
 def _context_at(word: bytes, t: int, order: int) -> bytes:
@@ -149,20 +146,6 @@ def extend(table: CodeTable, word: bytes) -> BitString:
             )
         out.write_bits(code)
     return out.getvalue()
-
-
-def validate_prefix_condition(table: CodeTable) -> bool:
-    """True iff every stored context's codewords form a prefix code.
-
-    Duplicate codewords within a context also fail: two symbols sharing
-    a codeword cannot decode uniquely.
-    """
-    for ctx in table.contexts():
-        words = sorted(code.to01() for code in table.context(ctx).values())
-        for a, b in zip(words, words[1:]):
-            if b.startswith(a):
-                return False
-    return True
 
 
 def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
@@ -196,12 +179,3 @@ def decode_with_table(table: CodeTable, bits: BitString, count: int) -> bytes:
     if pos != nbits:
         raise TrailingGarbageError(f"{nbits - pos} bits left after {count} symbols")
     return bytes(out)
-
-
-__all__ = [
-    "Alphabet",
-    "CodeTable",
-    "extend",
-    "validate_prefix_condition",
-    "decode_with_table",
-]

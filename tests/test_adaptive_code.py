@@ -1,18 +1,14 @@
 import copy
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from eahc.adaptive_code import (
-    Alphabet,
-    CodeTable,
-    decode_with_table,
-    extend,
-    validate_prefix_condition,
-)
+from eahc.adaptive_code import Alphabet, CodeTable, decode_with_table, extend
 from eahc.bitstream import EMPTY, BitString
 from eahc.errors import (
+    CodecError,
     CorruptStreamError,
     TableIncompleteError,
     TrailingGarbageError,
@@ -88,6 +84,8 @@ class TestCodeTable:
             (1, {b"d": {A: "0", B: "10", C: "11"}}),
             (1, {b"a": {A: "0", B: "1"}}),
             (1, {b"a": {A: "", B: "10", C: "11"}}),
+            (1, {b"": {A: "0", B: "01", C: "11"}}),
+            (1, {b"": {A: "00", B: "00", C: "1"}}),
         ],
         ids=[
             "order-0",
@@ -95,18 +93,57 @@ class TestCodeTable:
             "context-outside-alphabet",
             "column-missing-a-symbol",
             "empty-codeword",
+            "prefix-violation",
+            "duplicate-codewords",
         ],
     )
     def test_rejects_malformed_tables(self, order, columns):
         with pytest.raises(ValueError):
             make_table(columns, order=order)
 
+    def test_lone_empty_codeword_refused(self):
+        # a one-symbol column is a prefix code whatever its codeword, so
+        # only the nonempty rule refuses ""
+        with pytest.raises(ValueError, match="^codewords must be nonempty$"):
+            make_table({b"": {A: ""}}, order=1, alphabet=(A,))
+
+    @pytest.mark.parametrize(
+        "column",
+        [{A: "00", B: "00", C: "1"}, {A: "0", B: "01", C: "11"}],
+        ids=["duplicate-codewords", "prefix-violation"],
+    )
+    def test_non_prefix_column_names_its_context(self, column):
+        # unchecked, a/b -> "00" in every context decoded b"aca" as b"bcb"
+        columns = {ctx: dict(TABLE1_COLUMNS[b""]) for ctx in (b"", b"a", b"b", b"c")}
+        columns[b"c"] = column
+        with pytest.raises(ValueError, match=r"^context b'c' codewords must form a prefix code$"):
+            make_table(columns, order=1)
+
+    def test_bytes_like_context_keys(self):
+        # a context is kept and named as bytes, whatever bytes-like key the
+        # caller gave (a dict key must be hashable: memoryview, not bytearray)
+        columns = {memoryview(ctx): col for ctx, col in TABLE1_COLUMNS.items()}
+        assert extend(make_table(columns), b"abacca").to01() == "001011111100"
+        columns[memoryview(b"c")] = {A: "0", B: "01", C: "11"}
+        with pytest.raises(ValueError, match=r"^context b'c' codewords"):
+            make_table(columns)
+
     def test_membership_and_read_only_columns(self, table1):
         assert b"" in table1 and b"ab" in table1 and b"abc" not in table1
-        column = table1.context(b"ab")
-        assert column[A] == BitString.from_str("11")
-        with pytest.raises(TypeError):
-            column[A] = EMPTY
+        # the table copies each column, so the caller's map cannot change it
+        column = {sym: BitString.from_str(code) for sym, code in TABLE1_COLUMNS[b""].items()}
+        table = CodeTable(Alphabet((A, B, C)), 1, {b"": column})
+        column[A] = BitString.from_str("11")
+        assert extend(table, b"a").to01() == "00"
+
+    def test_single_symbol_alphabet_passes(self):
+        table = CodeTable(
+            Alphabet([A]),
+            1,
+            {b"": {A: BitString.from_str("0")}, b"a": {A: BitString.from_str("0")}},
+        )
+        assert extend(table, b"aaa").to01() == "000"
+        assert decode_with_table(table, BitString.from_str("000"), 3) == b"aaa"
 
 
 class TestExtend:
@@ -124,7 +161,7 @@ class TestExtend:
         for _ in range(50):
             word = bytes(rng.choice(b"abc") for _ in range(rng.randint(0, 40)))
             total = sum(
-                len(table1.context(word[max(0, t - 2) : t])[word[t]])
+                len(TABLE1_COLUMNS[word[max(0, t - 2) : t]][word[t]])
                 for t in range(len(word))
             )
             assert len(extend(table1, word)) == total
@@ -135,7 +172,7 @@ class TestExtend:
         for _ in range(50):
             word = bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 30)))
             manual = "".join(
-                table1.context(word[max(0, t - 2) : t])[word[t]].to01()
+                TABLE1_COLUMNS[word[max(0, t - 2) : t]][word[t]]
                 for t in range(len(word))
             )
             assert extend(table1, word).to01() == manual
@@ -147,31 +184,6 @@ class TestExtend:
             extend(table, b"abd")
         with pytest.raises(TableIncompleteError):  # no column for context "a"
             extend(make_table({b"": TABLE1_COLUMNS[b""]}, order=1), b"ab")
-
-
-class TestValidatePrefixCondition:
-    def test_full_table_passes(self, table1):
-        assert validate_prefix_condition(table1) is True
-
-    def test_prefix_violation_fails(self):
-        columns = {
-            b"": {A: "0", B: "01", C: "11"},
-        }
-        assert validate_prefix_condition(make_table(columns, order=1)) is False
-
-    def test_duplicate_codewords_fail(self):
-        columns = {
-            b"": {A: "00", B: "00", C: "1"},
-        }
-        assert validate_prefix_condition(make_table(columns, order=1)) is False
-
-    def test_single_symbol_alphabet_passes(self):
-        table = CodeTable(
-            Alphabet([A]),
-            1,
-            {b"": {A: BitString.from_str("0")}, b"a": {A: BitString.from_str("0")}},
-        )
-        assert validate_prefix_condition(table) is True
 
 
 class TestDecodeWithTable:
@@ -201,14 +213,6 @@ class TestDecodeWithTable:
         assert decode_with_table(table, extend(table, word), len(word)) == word
         assert vars(table) == built
 
-    def test_context_is_read_only(self):
-        # a column written through context() would leave extend and the
-        # decoder built at construction disagreeing
-        table = make_table()
-        with pytest.raises(TypeError):
-            table.context(b"a")[B] = BitString.from_str("11")
-        assert extend(table, b"ab").to01() == "0010"
-
     def test_undecodable_bits(self):
         columns = {b"": {A: "00", B: "01", C: "10"}}  # "11" unused
         table = make_table(columns, order=1)
@@ -224,8 +228,12 @@ class TestDecodeWithTable:
             decode_with_table(table, EMPTY, -1)
 
 
-def random_prefix_table(rng, alphabet, order):
-    """Random full-binary-tree codes per context; independent of huffman."""
+def random_prefix_table(rng, alphabet, order, spare=0):
+    """Random full-binary-tree codes per context; independent of huffman.
+
+    Each tree has `spare` more leaves than the alphabet has symbols, and
+    those leaves stay unassigned, so with `spare` > 0 no code is complete.
+    """
 
     def random_codes(symbols):
         if len(symbols) == 1:
@@ -250,11 +258,12 @@ def random_prefix_table(rng, alphabet, order):
             bytes(combo) for combo in itertools.product(symbols, repeat=length)
         ]
     for ctx in all_contexts:
-        shuffled = symbols[:]
-        rng.shuffle(shuffled)
+        leaves = symbols + [-1 - k for k in range(spare)]
+        rng.shuffle(leaves)
         contexts[ctx] = {
             sym: BitString.from_str(code)
-            for sym, code in random_codes(shuffled).items()
+            for sym, code in random_codes(leaves).items()
+            if sym >= 0
         }
     return CodeTable(alphabet, order, contexts)
 
@@ -269,7 +278,6 @@ class TestRoundTripProperty:
             order = rng.randint(1, 2)
             alphabet = Alphabet(rng.sample(range(256), m))
             table = random_prefix_table(rng, alphabet, order)
-            assert validate_prefix_condition(table)
             for _ in range(5):
                 word = bytes(
                     rng.choice(alphabet.to_bytes())
@@ -289,3 +297,60 @@ class TestRoundTripProperty:
                         BitString.from_str(bits + rng.choice("01")),
                         len(word),
                     )
+
+    def test_incomplete_codes_round_trip(self):
+        # a column whose code tree keeps leaves no symbol uses is still a
+        # prefix code, so decoding inverts extend
+        rng = random.Random(24)
+        for _ in range(60):
+            m = rng.randint(1, 4)
+            order = rng.randint(1, 2)
+            alphabet = Alphabet(rng.sample(range(256), m))
+            table = random_prefix_table(rng, alphabet, order, spare=rng.randint(1, 4))
+            for _ in range(5):
+                word = bytes(
+                    rng.choice(alphabet.to_bytes())
+                    for _ in range(rng.randint(0, 64))
+                )
+                assert decode_with_table(table, extend(table, word), len(word)) == word
+
+
+class TestFuzz:
+    def test_damaged_streams_raise_only_codec_errors(self):
+        # a flipped bit, a cut or appended bits either decode to `count`
+        # alphabet symbols or raise a CodecError; nothing else escapes
+        rng = random.Random(25)
+        outcomes = Counter()
+        for _ in range(300):
+            alphabet = Alphabet(rng.sample(range(256), rng.randint(2, 4)))
+            order = rng.randint(1, 2)
+            table = random_prefix_table(rng, alphabet, order, spare=rng.randint(0, 3))
+            word = bytes(
+                rng.choice(alphabet.to_bytes()) for _ in range(rng.randint(1, 40))
+            )
+            bits = extend(table, word).to01()
+            for _ in range(5):
+                damage = rng.randrange(3)
+                if damage == 0:
+                    at = rng.randrange(len(bits))
+                    mutant = bits[:at] + "10"[int(bits[at])] + bits[at + 1 :]
+                elif damage == 1:
+                    mutant = bits[: rng.randrange(len(bits))]
+                else:
+                    mutant = bits + "".join(rng.choices("01", k=rng.randint(1, 8)))
+                try:
+                    decoded = decode_with_table(
+                        table, BitString.from_str(mutant), len(word)
+                    )
+                except CodecError as exc:
+                    outcomes[type(exc).__name__] += 1
+                else:
+                    assert len(decoded) == len(word) and set(decoded) <= set(alphabet)
+                    outcomes["decoded"] += 1
+        assert sum(outcomes.values()) == 1500
+        assert set(outcomes) == {
+            "decoded",
+            "CorruptStreamError",
+            "TrailingGarbageError",
+            "TruncationError",
+        }

@@ -43,7 +43,6 @@ PUBLIC = [
     "lz78_decode",
     "lz78_encode",
     "serialize",
-    "validate_prefix_condition",
 ]
 
 # The public attributes of the support types, pinned the same way: a name
@@ -54,7 +53,7 @@ MEMBERS = {
     "BitReader": ["read_bits", "read_uint", "remaining"],
     "BitString": ["from_int", "from_str", "to01", "to_bytes", "uint"],
     "BitWriter": ["getvalue", "write_bits", "write_uint"],
-    "CodeTable": ["context", "contexts", "order"],
+    "CodeTable": ["order"],
 }
 
 

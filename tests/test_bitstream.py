@@ -76,6 +76,33 @@ class TestReaderWriter:
         with pytest.raises(ValueError):
             BitReader(b"a").read_uint(-1)
 
+    @pytest.mark.parametrize("skip", [0, 3])
+    def test_negative_width_leaves_the_cursor(self, skip):
+        for read in ("read_uint", "read_bits"):
+            r = BitReader(b"\xa5")
+            r.read_uint(skip)
+            with pytest.raises(ValueError, match="^width must be >= 0$"):
+                getattr(r, read)(-1)
+            assert r.remaining() == 8 - skip
+            assert r.read_bits(8 - skip) == BitString.from_int(0xA5 & 0xFF >> skip, 8 - skip)
+
+    def test_aligned_write_copies_whole_bytes(self, monkeypatch):
+        # from a byte boundary, only the final partial byte goes through
+        # write_uint; the general path would take one call per _SPLICE bits
+        widths = []
+        write_uint = BitWriter.write_uint
+
+        def counted(self, value, width):
+            widths.append(width)
+            write_uint(self, value, width)
+
+        monkeypatch.setattr(BitWriter, "write_uint", counted)
+        bits = BitString(b"\xa5" * ((1 << 20) - 1) + b"\xa0", (8 << 20) - 3)
+        w = BitWriter()
+        w.write_bits(bits)
+        assert len(widths) <= 1
+        assert w.getvalue() == bits
+
     def test_final_byte_zero_padded(self):
         w = BitWriter()
         w.write_bits(BitString.from_str("11"))

@@ -37,7 +37,7 @@ class TestEncodeDecode:
             assert restored.read_bytes() == SAMPLE_200
 
     def test_empty_input_fails(self, tmp_path, capsys):
-        # encode, stats and bench all report the message of Alphabet.from_bytes
+        # encode, stats and bench all report the message of Alphabet
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         empty = corpus / "empty.bin"
@@ -50,7 +50,7 @@ class TestEncodeDecode:
         ):
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert err.endswith("cannot derive an alphabet from empty data\n")
+            assert err.endswith("alphabet must hold between 1 and 256 symbols, got 0\n")
             assert not out.exists()
 
     def test_unwritable_output_fails(self, tmp_path, sample_file, capsys):

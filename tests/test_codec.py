@@ -226,6 +226,12 @@ class TestEncodeGoldens:
         with pytest.raises(ValueError):
             encode(b"", 1)
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_input(self, kind):
+        # the input is read as bytes, whatever bytes-like object holds it
+        assert encode(kind(SAMPLE_200), 2) == encode(SAMPLE_200, 2)
+        assert compress(kind(SAMPLE_200), 2) == compress(SAMPLE_200, 2)
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             encode(b"ab", 0)
@@ -1251,6 +1257,21 @@ class TestContextBudget:
             tracemalloc.stop()
         assert decompress_peak < 0.5 * len(blob)
         assert compress_peak < 2.5 * len(blob)
+
+    def test_aligned_map_deserialize_peaks(self):
+        # with a 24-bit prefix every component starts on a byte boundary,
+        # so the public deserialize copies each one out of the container
+        # whole, once, with no chunk list beside it
+        word = bytes(range(256)) * 2
+        blob = compress(word, 3)
+        tracemalloc.start()
+        try:
+            payload, header = deserialize(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decode(payload, header) == word
+        assert peak <= 1.25 * len(blob)
 
     def test_order_2_markov_decompress_peaks(self):
         # the model read back is freed row by row as the tables are built,

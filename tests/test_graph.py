@@ -81,6 +81,12 @@ class TestBuildGraphGeneral:
         with pytest.raises(ValueError):
             build_graph(b"ab", 0)
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_input(self, kind):
+        g, ref = build_graph(kind(SAMPLE_200), 2), build_graph(SAMPLE_200, 2)
+        assert g.alphabet == ref.alphabet
+        assert g.labels == ref.labels
+
     def test_order2_structure(self):
         g = build_graph(b"abab", 2)
         assert {v.name for v in g.vertices} == {"ab", "ba", "a", "b"}

@@ -41,18 +41,18 @@ def _code_lines(code: CodeType) -> set[int]:
     return lines
 
 
-def _statements(tree: ast.AST) -> list[tuple[int, range]]:
-    """(first line, lines that count) for every statement."""
+def _statements(tree: ast.AST) -> list[tuple[ast.stmt, range]]:
+    """(statement, lines that count) for every statement, in line order."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt):
             continue
         body = getattr(node, "body", None)
         if isinstance(body, list) and body:  # a compound statement's header
-            found.append((node.lineno, range(node.lineno, body[0].lineno)))
+            found.append((node, range(node.lineno, body[0].lineno)))
         else:
-            found.append((node.lineno, range(node.lineno, node.end_lineno + 1)))
-    return found
+            found.append((node, range(node.lineno, node.end_lineno + 1)))
+    return sorted(found, key=lambda item: (item[0].lineno, item[0].col_offset))
 
 
 def main(args: list[str]) -> None:
@@ -87,11 +87,11 @@ def main(args: list[str]) -> None:
         lines = source.splitlines()
         carried = _code_lines(compile(source, str(path), "exec"))
         ran = {line for name, line in executed if name == str(path)}
-        for first, span in sorted(_statements(ast.parse(source))):
+        for node, span in _statements(ast.parse(source)):
             counted = carried.intersection(span)
             if counted and not counted & ran:
                 unrun += 1
-                print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
+                print(f"{path.relative_to(ROOT)}:{node.lineno}: {lines[node.lineno - 1].strip()}")
     print(f"{unrun} unrun statements; pytest exit status {int(status)}")
 
 
