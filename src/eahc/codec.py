@@ -22,9 +22,10 @@ so the codeword at a slot is the last one starting at or before it.  Up to
 TABLE_BITS, `ranks` is 2**L bytes, each start's rank repeated up to the
 next start; past it, (starts, by_start) for `bisect_right`.  A context's
 entry adds `syms`, its successors in code order; lone successors share
-`_LONE`.  `_decode_stream`, the one stream loop, loads _REFILL stream
-bits at a time into one int while fewer than L are unread, and peeks the
-next L bits as the slot.  Past the stream the int reads zeros;
+`_LONE`, and only a run of two or more successors is sliced for its count
+tuple.  `_decode_stream`, the one stream loop, loads _REFILL stream bits
+at a time into one int while fewer than L are unread, and peeks the next
+L bits as the slot.  Past the stream the int reads zeros;
 `_build_codes` bounds the h - n steps, and one test after them finds a
 truncation.
 
@@ -63,10 +64,10 @@ with one cursor, builds the decoder tables and says where each component
 lies.  `decompress` hands the prefix indices and the tables to
 `_decode_stream`, which reads the stream in place, so `decompress` reads
 each component and builds the tables once, and copies none of them.
-`deserialize` copies each component out into a plain payload and drops
-the tables, so a `decode` of that payload reads the model again.
-`_read_v1` hands the rows over one at a time in reading order, so each is
-freed as its entry is built.  Reading the model and building the tables
+`deserialize` drops the tables, then copies each component out into a
+plain payload, so a `decode` of that payload reads the model again.
+`_read_v1` counting-sorts the marked pairs by context into flat arrays,
+with no object per context.  Reading the model and building the tables
 is most of the decompress CPU on model-heavy input.
 
 Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
@@ -97,7 +98,8 @@ budget.  Reading a container takes none: `_unpack` refuses a header that
 claims more codewords than the container has bits, checks that the
 container holds a component's bits before `_read_v1` reads them, and
 `_build_codes` stops once its codewords need more stream bits than remain.
-A valid container still pays one dict per marked context.
+A valid container pays one dict entry per marked context twice: in the
+reader's run lengths, and in the decoder tables.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import add, floordiv, mod, mul
 from typing import Callable, Iterable, Iterator
 
@@ -316,29 +318,28 @@ def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | tuple, bytes, in
 _LONE = [_ranked_table((1,))[:3] + (bytes((i,)),) for i in range(256)]
 
 
-def _build_codes(
-    order: int, rows: Iterable[tuple[int, dict[int, int]]], available: int
-) -> tuple[dict, int]:
+def _build_codes(order: int, model: tuple, available: int) -> tuple[dict, int]:
     """Decoder entries by context index, as the module docstring describes,
-    and the stream's length in bits, from `_read_v1`'s (context index, row)
-    pairs, rows in symbol order.  Raises TruncationError once the codewords
-    priced so far need more than the `available` stream bits."""
+    and the stream's length in bits, from `_read_v1`'s model.  Raises
+    TruncationError once the codewords priced so far need more than the
+    `available` stream bits."""
+    set_js, ends, syms, counts = model
     codes = {}
     shared: dict[tuple[int, ...], tuple] = {}
-    stream_bits = 0
-    for j, row in rows:
-        if len(row) == 1:
-            ((i, f),) = row.items()
-            code = _LONE[i]
-            stream_bits += f
+    stream_bits = start = 0
+    for j, end in zip(set_js, ends):
+        if end - start == 1:
+            code = _LONE[syms[start]]
+            stream_bits += counts[start]
         else:
-            syms, freqs = _code_order(order, j, row.items())
+            run, freqs = _code_order(order, j, zip(syms[start:end], counts[start:end]))
             if freqs not in shared:
                 shared[freqs] = _ranked_table(freqs)
             longest, ranks, lengths, cost = shared[freqs]
-            code = (longest, ranks, lengths, bytes(syms))
+            code = (longest, ranks, lengths, bytes(run))
             stream_bits += cost
         codes[j] = code
+        start = end
         if stream_bits > available:
             raise TruncationError(f"stream needs more than the {available} bits left")
     return codes, stream_bits
@@ -433,11 +434,12 @@ _Span = tuple[bytes, int, int]  # (data, first bit, bit count) of one component
 
 def _read_v1(
     header: Header, freq_width: int, read: Callable[[int, str], _Span]
-) -> tuple[bytes, Iterator[tuple[int, dict[int, int]]]]:
-    """The v1 reader: the prefix's symbol indices and, used up once, the
-    model's (context index, row) pairs, context index descending, each row
-    in symbol order; `read(bit_count, component_name)` says where each
-    component lies, and the maps are scanned there, in place.
+) -> tuple[bytes, tuple[array, array, bytearray, array]]:
+    """The v1 reader: the prefix's symbol indices and the model: the context
+    indices, ascending, each context's run end, and the runs' successor
+    symbol indices and counts, each run in symbol order.
+    `read(bit_count, component_name)` says where each component lies, and
+    the maps are scanned there, in place.
 
     Raises CorruptHeaderError unless the components are exactly what
     `_write_v1` makes of some input of h symbols, in which every alphabet
@@ -467,17 +469,27 @@ def _read_v1(
         raise CorruptHeaderError(
             f"frequencies sum to {sum(freqs)}, expected {max(header.length - n, 0)}"
         )
-    unused = m - len({pos // s for pos in marked}.union(head))
+    unused = m - len(set(map(floordiv, marked, repeat(s))).union(head))
     if unused:
         raise CorruptHeaderError(f"{unused} alphabet symbols never occur")
-    # ascending positions are symbol-major, so each row fills in symbol order
-    rows: list[dict[int, int]] = [{} for _ in range(s)]
-    for pos, f in zip(marked, freqs):
-        rows[pos % s][pos // s] = f
-    if not all(rows):
-        j = set_js[rows.index({})]
+    runs = Counter(map(mod, marked, repeat(s)))  # context rank -> run length
+    if len(runs) < s:
+        j = set_js[next(r for r in range(s) if r not in runs)]
         raise CorruptHeaderError(f"context index {j} has no marked successor")
-    return head, ((j, rows.pop()) for j in reversed(set_js))
+    # a counting sort by context rank: ends[r] is the next free slot of run
+    # r, and its end once the pass is over; ascending positions are
+    # symbol-major, so each run fills in symbol order
+    ends = array(marked.typecode, accumulate(map(runs.__getitem__, range(s - 1)), initial=0))
+    # each count in the least unsigned item of freq_width bits, at most 64 by the sum check
+    syms = bytearray(len(marked))
+    counts = array("BHIIQQQQ"[(freq_width - 1) >> 3], [0]) * len(marked)
+    for pos, f in zip(marked, freqs):
+        r = pos % s
+        k = ends[r]
+        ends[r] = k + 1
+        syms[k] = pos // s
+        counts[k] = f
+    return head, (set_js, ends, syms, counts)
 
 
 def _field_reader(payload: EahPayload) -> Callable[[int, str], _Span]:
@@ -692,7 +704,8 @@ def deserialize(blob: bytes) -> tuple[EahPayload, Header]:
     copied out of `blob`.  It builds the decoder tables, since only the
     codes fix the stream's length, and drops them: `decode` of the payload
     reads the model again."""
-    header, freq_width, _, _, spans = _unpack(blob)
+    header, freq_width, _, tables, spans = _unpack(blob)
+    del tables  # before the copies
     reader = BitReader(blob)
     reader.read_uint(spans["prefix"][0])  # past the header
     components = {name: reader.read_bits(count) for name, (_, count) in spans.items()}

@@ -89,6 +89,17 @@ def _rows(model: dict[int, int], m: int) -> dict[int, dict[int, int]]:
     return rows
 
 
+def _read_rows(model: tuple) -> dict[int, dict[int, int]]:
+    """`_read_v1`'s flat model grouped by context, in the model's own
+    orders: context index -> {successor index -> count}."""
+    set_js, ends, syms, counts = model
+    rows, start = {}, 0
+    for j, end in zip(set_js, ends):
+        rows[j] = dict(zip(syms[start:end], counts[start:end]))
+        start = end
+    return rows
+
+
 def _write_model(header: Header, head: bytes, counts: dict[int, int]) -> tuple:
     """`_write_v1` of a flat model, in the context-major order it takes."""
     keys, sizes = codec._by_context(counts, len(header.alphabet))
@@ -144,8 +155,8 @@ def _prefixing_ranks(codes: list, longest: int, slots: Iterable[int]) -> list[in
 def _decoder_tables(payload: EahPayload, header: Header) -> dict:
     """The decoder entries, by context index, that `_build_codes` makes of
     the model `_read_v1` reads off the payload's own fields."""
-    _, rows = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
-    tables, _ = codec._build_codes(header.order, rows, len(payload.stream))
+    _, model = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
+    tables, _ = codec._build_codes(header.order, model, len(payload.stream))
     return tables
 
 
@@ -331,8 +342,8 @@ class TestDecode:
         word = _markov_text(72, 128 * 1024)
         payload, header = deserialize(compress(word, order))
         stream = payload.stream
-        head, rows = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
-        tables, _ = codec._build_codes(order, rows, len(stream))
+        head, model = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
+        tables, _ = codec._build_codes(order, model, len(stream))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -471,15 +482,17 @@ class TestDecode:
         payload, header = encode(word, order)
         assert payload.freq_width == width
         assert len(payload.freq_table) > 8 * width  # fields cross byte boundaries
-        head, pairs = codec._read_v1(header, width, codec._field_reader(payload))
+        head, model = codec._read_v1(header, width, codec._field_reader(payload))
         assert head == word[:order].translate(codec._index_table(header.alphabet))
-        model = dict(pairs)
+        _, ends, syms, counts = model
+        assert ends[-1] == len(syms) == len(counts)  # the runs tile the pairs
+        rows = _read_rows(model)
         m = len(header.alphabet)
-        flat = {j * m + i: f for j, row in model.items() for i, f in row.items()}
+        flat = {j * m + i: f for j, row in rows.items() for i, f in row.items()}
         assert flat == _scanned_model(word, order)
-        # context index descending, each row in symbol order
-        assert list(model) == sorted(model, reverse=True)
-        assert all(list(row) == sorted(row) for row in model.values())
+        # context index ascending, each run in symbol order
+        assert list(rows) == sorted(rows)
+        assert all(list(row) == sorted(row) for row in rows.values())
         bits = payload.freq_table.to01()
         k = len(bits) // width // 2 * width  # the middle field
         zeroed = bits[:k] + "0" * width + bits[k + width :]
@@ -518,6 +531,44 @@ class TestDecode:
             decode(payload, header)
         with pytest.raises(CorruptHeaderError):
             decompress(serialize(payload, header))
+
+    def test_context_without_successor_rejected(self):
+        # "abcd" at order 1 with the contexts b, c and d marked (indices 1,
+        # 2 and 3), and all four symbols marked after c alone: b and d are
+        # left empty, and the lowest of them is named
+        b = BitString.from_str
+        header = Header(1, Alphabet(b"abcd"), 5)
+        payload = EahPayload(b("10"), b("0111"), b("010010010010"), b("1111"), EMPTY, 1)
+        message = "context index 1 has no marked successor"
+        with pytest.raises(CorruptHeaderError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptHeaderError, match=message):
+            decompress(serialize(payload, header))
+
+    def test_missing_symbol_named_before_empty_context(self):
+        # "abc" at order 1 with the contexts a and b marked, and a and b
+        # marked after a alone: c never occurs and b is empty, and the
+        # missing symbol is reported first
+        b = BitString.from_str
+        header = Header(1, Alphabet(b"abc"), 3)
+        payload = EahPayload(b("00"), b("110"), b("101000"), b("11"), EMPTY, 1)
+        message = "1 alphabet symbols never occur"
+        with pytest.raises(CorruptHeaderError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptHeaderError, match=message):
+            decompress(serialize(payload, header))
+
+    @pytest.mark.parametrize("width", [16, 17, 32, 33, 64])
+    def test_wide_count_read_whole(self, width):
+        # "a" at order 1 with one pair whose count has `width` bits: the
+        # reader holds it whole, and the codes then price it past the
+        # empty stream, with no OverflowError on the way
+        f = 1 << (width - 1)
+        b = BitString.from_str
+        header = Header(1, Alphabet(b"a"), 1 + f)
+        payload = EahPayload(EMPTY, b("1"), b("1"), BitString.from_int(f, width), EMPTY, width)
+        with pytest.raises(TruncationError, match="more than the 0 bits left"):
+            decode(payload, header)
 
 
 def _key_cases(m: int) -> list[tuple[bytes, int]]:
@@ -923,10 +974,10 @@ class TestDecodeTables:
         for word, n in cases:
             payload, header = encode(word, n)
             read = codec._field_reader(payload)
-            _, pairs = codec._read_v1(header, payload.freq_width, read)
-            _, stream_bits = codec._build_codes(n, pairs, len(payload.stream))
+            _, model = codec._read_v1(header, payload.freq_width, read)
+            tables, stream_bits = codec._build_codes(n, model, len(payload.stream))
             assert stream_bits == len(payload.stream), (len(word), n)
-            assert next(pairs, None) is None  # every pair taken as its entry is built
+            assert list(tables) == list(model[0])  # every context's entry is built, in order
 
     def test_refill_covers_table_bits(self):
         # decode loads the stream _REFILL bits, whole bytes, at a time, as
@@ -1274,9 +1325,8 @@ class TestContextBudget:
         assert peak <= 1.25 * len(blob)
 
     def test_order_2_markov_decompress_peaks(self):
-        # the model read back is freed row by row as the tables are built,
-        # so the two are never held whole at once, and the rows go over in
-        # reading order, with no dict of them and no re-sort
+        # the model is read back into flat arrays, a few bytes per marked
+        # pair and per context, with no object per context beside the tables
         word = _markov_text(71, 32 * 1024)
         blob = compress(word, 2)
         tracemalloc.start()
@@ -1316,7 +1366,8 @@ class TestContextBudget:
 
     def test_order_2_random_bytes_decompress_peaks(self):
         # 14,435 contexts, 12,655 of them with one successor and a shared
-        # entry, so the reader's rows and scratch set the peak
+        # entry, so the decoder tables set the peak, with the flat model
+        # beside them
         word = random.Random(16384).randbytes(16384)
         blob = compress(word, 2)
         tracemalloc.start()
@@ -1325,7 +1376,38 @@ class TestContextBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * len(blob)
+        assert peak < 4 * len(blob)
+
+    def test_order_2_random_bytes_deserialize_peaks(self):
+        # deserialize builds the tables decompress builds, to find where the
+        # stream ends, and drops them before it copies the components out,
+        # so it peaks no higher than decompress
+        blob = compress(random.Random(16384).randbytes(16384), 2)
+        peaks = []
+        for call in (decompress, deserialize):
+            gc.collect()  # so no collection of earlier garbage lowers a peak
+            tracemalloc.start()
+            try:
+                call(blob)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        decompress_peak, deserialize_peak = peaks
+        assert deserialize_peak <= 1.05 * decompress_peak
+
+    def test_every_context_distinct_decompress_peaks(self):
+        # B(2, 16) at order 16: 65,536 contexts, each with one successor;
+        # the reader holds the model in flat arrays, a few bytes per context,
+        # beside its run-length Counter and then the decoder tables
+        word = de_bruijn_word(2, 16)
+        blob = compress(word, 16)
+        tracemalloc.start()
+        try:
+            assert decompress(blob) == word
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
     @pytest.mark.parametrize(
         "make, size, bound",
