@@ -472,7 +472,8 @@ def _read_v1(
     unused = m - len(set(map(floordiv, marked, repeat(s))).union(head))
     if unused:
         raise CorruptHeaderError(f"{unused} alphabet symbols never occur")
-    runs = Counter(map(mod, marked, repeat(s)))  # context rank -> run length
+    # context rank -> run length of the positions with a field (none at width 0)
+    runs = Counter(map(mod, islice(marked, len(freqs)), repeat(s)))
     if len(runs) < s:
         j = set_js[next(r for r in range(s) if r not in runs)]
         raise CorruptHeaderError(f"context index {j} has no marked successor")

@@ -7,8 +7,9 @@ Usage:
 
 OLD_SRC and NEW_SRC are two `src/` directories, each holding an `eahc`
 package.  Each is imported in turn.  For every seeded (input, order) case
-it compresses the input and runs `decompress` on these mutants of the
-container:
+it compresses the input, and for every crafted case it serializes a
+container that no compressor writes.  It runs `decompress` on the
+container and on these mutants of it:
 - every cut of the container's last 300 bytes;
 - N seeded single bit flips and N seeded double bit flips.
 
@@ -33,6 +34,7 @@ import importlib
 import random
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -71,6 +73,20 @@ def cases(seed: int) -> list[tuple[str, bytes, int]]:
         ("random-2", random.Random(seed + 2).randbytes(1500), 2),
         ("de-bruijn-12", de_bruijn_word(2, 12), 12),  # every context distinct
         ("uniform-3", _uniform(seed + 3, 1000, 150), 3),
+    ]
+
+
+def crafted() -> list[tuple[str, tuple, tuple[str, ...], int]]:
+    """(name, (order, alphabet, length), the five components as '0'/'1'
+    text, frequency field width) of containers no compressor writes, which
+    pass the reader's first checks and fail a later one."""
+    return [
+        # b marked after both contexts, but at width 0 with no fields
+        ("width-0-marked", (1, b"ab", 1), ("0", "11", "0011", "", ""), 0),
+        # all four symbols marked after c alone: b and d are left empty
+        ("empty-contexts", (1, b"abcd", 5), ("10", "0111", "010010010010", "1111", ""), 1),
+        # a and b marked after a alone: c never occurs, and b is empty
+        ("missing-symbol", (1, b"abc", 3), ("00", "110", "101000", "11", ""), 1),
     ]
 
 
@@ -114,6 +130,14 @@ def views(word: bytes, graph, baselines) -> list[tuple[str, str]]:
     return found + [("lz78", _digest(f"{bits.to01()} {phrases}"))]
 
 
+def _crafted_blobs(codec) -> Iterator[tuple[str, bytes]]:
+    """(name, container) for each of `crafted()`, serialized by `codec`."""
+    for name, (order, symbols, length), parts, width in crafted():
+        header = codec.Header(order, codec.Alphabet(symbols), length)
+        payload = codec.EahPayload(*map(codec.BitString.from_str, parts), width)
+        yield name, codec.serialize(payload, header)
+
+
 def outcomes(src: str, seed: int, flips: int) -> tuple[dict, dict]:
     """Case name -> (container digest, outcome of each mutant), and input
     name -> its analysis views, with eahc imported from `src`."""
@@ -128,10 +152,10 @@ def outcomes(src: str, seed: int, flips: int) -> tuple[dict, dict]:
         inputs["escapes"] = escape_corpus(seed)
         analysis = {name: views(w, graph, baselines) for name, w in inputs.items()}
         result = {}
-        for name, word, order in cases(seed):
-            blob = codec.compress(word, order)
+        blobs = ((name, codec.compress(word, order)) for name, word, order in cases(seed))
+        for name, blob in chain(blobs, _crafted_blobs(codec)):
             found = []
-            for damaged in mutants(blob, seed, flips):
+            for damaged in chain([blob], mutants(blob, seed, flips)):
                 try:
                     decoded = codec.decompress(damaged)
                 except Exception as e:  # the class and message are the outcome

@@ -545,6 +545,19 @@ class TestDecode:
         with pytest.raises(CorruptHeaderError, match=message):
             decompress(serialize(payload, header))
 
+    def test_marked_successors_without_fields_leave_contexts_empty(self):
+        # "ab" at order 1, one symbol long, with the contexts a and b
+        # marked and b marked after each, but at width 0 no frequency
+        # fields: every other check passes, and no successor is read
+        b = BitString.from_str
+        header = Header(1, Alphabet(b"ab"), 1)
+        payload = EahPayload(b("0"), b("11"), b("0011"), EMPTY, EMPTY, 0)
+        message = "context index 0 has no marked successor"
+        with pytest.raises(CorruptHeaderError, match=message):
+            decode(payload, header)
+        with pytest.raises(CorruptHeaderError, match=message):
+            decompress(serialize(payload, header))
+
     def test_missing_symbol_named_before_empty_context(self):
         # "abc" at order 1 with the contexts a and b marked, and a and b
         # marked after a alone: c never occurs and b is empty, and the
