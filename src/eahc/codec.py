@@ -22,10 +22,10 @@ so the codeword at a slot is the last one starting at or before it.  Up to
 TABLE_BITS, `ranks` is 2**L bytes, each start's rank repeated up to the
 next start; past it, (starts, by_start) for `bisect_right`.  A context's
 entry adds `syms`, its successors in code order; lone successors share
-`_LONE`, and only a run of two or more successors is sliced for its count
-tuple.  `_decode_stream`, the one stream loop, loads _REFILL stream bits
-at a time into one int while fewer than L are unread, and peeks the next
-L bits as the slot.  Past the stream the int reads zeros;
+`_LONE`, and only a run of two or more is sliced, for `_code_order`.
+`_decode_stream`, the one stream loop, loads _REFILL stream bits at a
+time into one int while fewer than L are unread, and peeks the next L
+bits as the slot.  Past the stream the int reads zeros;
 `_build_codes` bounds the h - n steps, and one test after them finds a
 truncation.
 
@@ -36,10 +36,11 @@ position, twice: `_successor_counts` counts the keys with a `Counter`,
 and the stream maps them through that same object.  In between,
 `_write_v1` writes the model from its context-major order, and `encode`
 turns the `Counter` into the codeword map in place, each count replaced
-by its pair's codeword as '0'/'1' text from `_successor_codes` (a lone
-successor's codeword is "0", with no Huffman call), so no second dict
-keyed by pair is built.  It joins the codewords in bounded chunks of
-_CHUNK and turns each chunk into bits at once.
+by its pair's codeword as '0'/'1' text: "0" for a lone successor, and
+for a run of two or more one `dict.update` from `code_pairs` over the
+run's keys and counts in `_code_order`, with no Python per successor.
+It joins the codewords in bounded chunks of _CHUNK and turns each chunk
+into bits at once.
 
 Format v1 codes the model as bitmaps and fixed-width counts, five bit
 components in all:
@@ -104,7 +105,6 @@ reader's run lengths, and in the decoder tables.
 
 from __future__ import annotations
 
-import re
 import struct
 from array import array
 from bisect import bisect_right
@@ -169,32 +169,28 @@ class EahPayload:
             raise ValueError(f"freq_width must be between 0 and 255, got {self.freq_width}")
 
     def components(self) -> tuple[BitString, BitString, BitString, BitString, BitString]:
-        return (
-            self.prefix,
-            self.context_map,
-            self.successor_map,
-            self.freq_table,
-            self.stream,
-        )
+        return self.prefix, self.context_map, self.successor_map, self.freq_table, self.stream
 
     def total_bits(self) -> int:
         return sum(len(c) for c in self.components())
 
 
-def _code_order(order: int, context_index: int, pairs: Iterable) -> tuple[tuple, tuple]:
-    """One context's successor symbol indices in code order, and their
-    counts.  pairs: (symbol index, frequency), symbol index ascending; at
-    order 1 the diagonal entry is the repeat successor and codes last."""
-    if order == 1:  # a stable sort moves the diagonal entry alone
-        pairs = sorted(pairs, key=lambda p: p[0] == context_index)
-    syms, freqs = zip(*pairs)
+def _code_order(order: int, diagonal: int, syms: Iterable, freqs: Iterable) -> tuple:
+    """One context's successors and their counts, two parallel sequences in
+    symbol order, as two tuples in code order: at order 1 the repeat
+    successor `diagonal` codes last."""
+    syms, freqs = tuple(syms), tuple(freqs)
+    if order == 1 and diagonal in syms:
+        k = syms.index(diagonal)
+        syms = syms[:k] + syms[k + 1 :] + syms[k : k + 1]
+        freqs = freqs[:k] + freqs[k + 1 :] + freqs[k : k + 1]
     return syms, freqs
 
 
-def _successor_codes(order: int, context_index: int, pairs: list) -> list[tuple]:
+def _successor_codes(order: int, diagonal: int, syms: Iterable, freqs: Iterable) -> list:
     """Huffman codewords of one context as (symbol index, value, length), in
-    code order; `pairs` as `_code_order` takes them."""
-    syms, freqs = _code_order(order, context_index, pairs)
+    code order; the arguments as `_code_order` takes them."""
+    syms, freqs = _code_order(order, diagonal, syms, freqs)
     return [(i, value, length) for i, (value, length) in zip(syms, code_pairs(freqs))]
 
 
@@ -332,7 +328,7 @@ def _build_codes(order: int, model: tuple, available: int) -> tuple[dict, int]:
             code = _LONE[syms[start]]
             stream_bits += counts[start]
         else:
-            run, freqs = _code_order(order, j, zip(syms[start:end], counts[start:end]))
+            run, freqs = _code_order(order, j, syms[start:end], counts[start:end])
             if freqs not in shared:
                 shared[freqs] = _ranked_table(freqs)
             longest, ranks, lengths, cost = shared[freqs]
@@ -352,7 +348,6 @@ _BIT_OFFSETS = [
 
 _SCAN_CHUNK = 8192  # bytes of a map `_scan_set_bits` masks at once
 _NONZERO = bytes(1) + b"\x01" * 255  # byte -> 1 when any of its bits is set
-_find_ones = re.compile(rb"\x01").finditer
 
 
 def _scan_set_bits(data: bytes, start: int, nbits: int) -> array:
@@ -362,9 +357,9 @@ def _scan_set_bits(data: bytes, start: int, nbits: int) -> array:
 
     Each _SCAN_CHUNK-byte slice of the map is copied, its first byte's bits
     before the span and its last byte's bits past it cleared, and
-    translated to a 0/1 mask in which the nonzero bytes are found by
-    searching for the literal byte 1: `re` skips to a literal at memchr
-    speed, but would test a class of nonzero bytes one byte at a time.
+    translated to a 0/1 mask in which `bytes.find` skips to each nonzero
+    byte at memchr speed.  (`re.finditer` is as fast, but each call leaves
+    a fresh "search" string in the interpreter's attribute cache.)
     Scratch memory is bounded by two slices, the slice and its mask.
     """
     out = array("I" if nbits <= 1 << 32 else "Q")
@@ -379,11 +374,13 @@ def _scan_set_bits(data: bytes, start: int, nbits: int) -> array:
             chunk[0] &= 0xFF >> (start & 7)
         if lo + len(chunk) == stop:
             chunk[-1] &= 0xFF << (-end % 8) & 0xFF
-        for match in _find_ones(chunk.translate(_NONZERO)):
-            p = match.start()
+        find = chunk.translate(_NONZERO).find
+        p = find(1)
+        while p >= 0:
             base = (lo + p) * 8 - start
             for k in offsets[chunk[p]]:
                 append(base + k)
+            p = find(1, p + 1)
     return out
 
 
@@ -505,6 +502,14 @@ def _field_reader(payload: EahPayload) -> Callable[[int, str], _Span]:
     return read
 
 
+class _Texts(dict):
+    """(value, length) -> that codeword as '0'/'1' text, each made once."""
+
+    def __missing__(self, code: tuple[int, int]) -> str:
+        text = self[code] = format(code[0], f"0{code[1]}b")
+        return text
+
+
 def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     """Encode a byte string at the given order.
 
@@ -530,18 +535,16 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     # the model becomes the codeword map in place, key -> codeword as
     # '0'/'1' text, each text shared by every pair with the same (value, length)
     codewords: dict = counts
-    texts: dict[tuple[int, int], str] = {}
+    texts = _Texts()
     start = 0
     for j, k in sizes.items():
         if k == 1:
             codewords[keys[start]] = "0"
-        else:
-            pairs = [(key - j * m, counts[key]) for key in keys[start : start + k]]
-            for i, value, length in _successor_codes(n, j, pairs):
-                text = texts.get((value, length))
-                if text is None:
-                    text = texts[value, length] = format(value, f"0{length}b")
-                codewords[j * m + i] = text
+        else:  # the repeat pair key at order 1 is j*m + j
+            run = keys[start : start + k]
+            run, freqs = _code_order(n, j * m + j, run, map(counts.__getitem__, run))
+            # `dict.update`: a Counter's own `update` adds
+            dict.update(codewords, zip(run, map(texts.__getitem__, code_pairs(freqs))))
         start += k
 
     words = map(codewords.__getitem__, _pair_keys(t, m, n, runs))
@@ -549,15 +552,8 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     while chunk := "".join(islice(words, _CHUNK)):
         stream.write_uint(int(chunk, 2), len(chunk))
 
-    payload = EahPayload(
-        prefix,
-        context_map,
-        successor_map,
-        freq_table,
-        stream.getvalue(),
-        freq_width,
-    )
-    return payload, header
+    components = prefix, context_map, successor_map, freq_table, stream.getvalue()
+    return EahPayload(*components, freq_width), header
 
 
 def _decode_stream(

@@ -6,7 +6,8 @@ symbols that follow them; a directed edge (context, symbol) carries the
 number of positions where that transition occurs, the count of its pair
 key j*m + i in the codec's flat model (`codec._successor_counts`), read
 one context at a time in `codec._by_context` order, and its codeword
-comes from `codec._successor_codes`, the code the encoder emits for it;
+comes from `codec._successor_codes`, `code_pairs` over the counts that
+`codec._code_order` puts in code order, as encoder and decoder do;
 the codec's `_context_index` and `_window` give a window's index and an
 index's window.  For order 1, an immediate repeat of a symbol is routed
 through a companion aux vertex instead of a self-loop; the aux return
@@ -121,9 +122,10 @@ def assign_codewords(g: AdaptiveGraph) -> None:
     for src, dst in g.transition_edges():
         by_context.setdefault(src, {})[g.alphabet.index(dst.key[0])] = g.labels[src, dst]
     for src, row in by_context.items():
-        pairs = [(i, row[i].frequency) for i in sorted(row)]
+        syms = sorted(row)
+        freqs = [row[i].frequency for i in syms]
         j = codec._context_index(map(g.alphabet.index, src.key), len(g.alphabet))
-        for i, value, length in codec._successor_codes(g.order, j, pairs):
+        for i, value, length in codec._successor_codes(g.order, j, syms, freqs):
             row[i].codeword = BitString.from_int(value, length)
 
 

@@ -28,7 +28,7 @@ def code_pairs(freqs: Sequence[int]) -> list[tuple[int, int]]:
     k = len(freqs)
     if k == 0:
         raise ValueError("frequency tuple must not be empty")
-    if any(f < 1 for f in freqs):
+    if min(freqs) < 1:
         raise ValueError("frequencies must be >= 1")
 
     if k == 1:

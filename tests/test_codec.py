@@ -7,6 +7,7 @@ import random
 import signal
 import struct
 import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 from typing import Iterable
@@ -158,6 +159,18 @@ def _decoder_tables(payload: EahPayload, header: Header) -> dict:
     _, model = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
     tables, _ = codec._build_codes(header.order, model, len(payload.stream))
     return tables
+
+
+def _traced_peak(call):
+    """`call()`'s result and the peak memory `tracemalloc` traced while it
+    ran.  Garbage is collected first, so no collection of earlier cyclic
+    garbage during the call lowers the peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _flip(bits: str, *positions: int) -> str:
@@ -344,15 +357,11 @@ class TestDecode:
         stream = payload.stream
         head, model = codec._read_v1(header, payload.freq_width, codec._field_reader(payload))
         tables, _ = codec._build_codes(order, model, len(stream))
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            decoded = codec._decode_stream(header, head, tables, stream.to_bytes(), 0, len(stream))
-            assert decoded == word
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 3 * len(word)
+        decoded, peak = _traced_peak(
+            lambda: codec._decode_stream(header, head, tables, stream.to_bytes(), 0, len(stream))
+        )
+        assert decoded == word
+        assert peak < 3 * len(word)
 
     def test_short_input_components_checked(self):
         payload, header = encode(b"ab", 3)
@@ -619,7 +628,7 @@ def _write_uint_stream(word: bytes, order: int) -> BitString:
     m = len(index)
     codes = {}
     for j, row in _rows(_scanned_model(word, order), m).items():
-        pairs = codec._successor_codes(order, j, sorted(row.items()))
+        pairs = codec._successor_codes(order, j, *zip(*sorted(row.items())))
         codes[j] = {i: (value, length) for i, value, length in pairs}
     out = BitWriter()
     j = 0
@@ -743,12 +752,7 @@ class TestCompressPath:
         # 256 digits per key: an unpacked chain of 256 map levels holds
         # tens of MiB of slices here
         word = b"a" * 100_000
-        tracemalloc.start()
-        try:
-            blob = compress(word, 255)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        blob, peak = _traced_peak(lambda: compress(word, 255))
         assert peak < 2 << 20
         assert decompress(blob) == word
 
@@ -837,7 +841,7 @@ class TestDecodeTables:
         assert list(starts[1:]) == [a + w for a, w in zip(starts, spans)][:-1]
         assert starts[-1] + spans[-1] == 1 << longest
         model = _rows(_model(LONG_CODE_WORD, 1), len(header.alphabet))
-        _, freqs = codec._code_order(1, 0, sorted(model[0].items()))
+        _, freqs = codec._code_order(1, 0, *zip(*sorted(model[0].items())))
         codes = codec.code_pairs(freqs)
         for slot in range(1 << longest):
             value, length = codes[by_start[bisect.bisect_right(starts, slot) - 1]]
@@ -970,13 +974,44 @@ class TestDecodeTables:
         word = b"bbcbaaaabacba"
         model = _rows(_model(word, 1), 3)
         assert model[0] == model[1] == {0: 3, 1: 1, 2: 1}
-        pairs = sorted(model[0].items())
-        assert codec._code_order(1, 0, pairs) == ((1, 2, 0), (1, 1, 3))
-        assert codec._code_order(1, 1, pairs) == ((0, 2, 1), (3, 1, 1))
+        syms, freqs = zip(*sorted(model[0].items()))
+        assert codec._code_order(1, 0, syms, freqs) == ((1, 2, 0), (1, 1, 3))
+        assert codec._code_order(1, 1, syms, freqs) == ((0, 2, 1), (3, 1, 1))
         payload, header = deserialize(compress(word, 1))
         tables = _decoder_tables(payload, header)
         assert tables[0][1] != tables[1][1]
         assert decode(payload, header) == word
+
+    @pytest.mark.parametrize(
+        "diagonal, expected",
+        [
+            (2, ((5, 7, 2), (4, 1, 3))),
+            (5, ((2, 7, 5), (3, 1, 4))),
+            (7, ((2, 5, 7), (3, 4, 1))),
+            (4, ((2, 5, 7), (3, 4, 1))),
+        ],
+        ids=["first", "middle", "last", "absent"],
+    )
+    def test_order_1_repeat_successor_codes_last(self, diagonal, expected):
+        # the decoder passes its flat arrays' slices, the encoder a list of
+        # pair keys and a map of their counts: each comes back as two tuples
+        syms, freqs = (2, 5, 7), (3, 4, 1)
+        assert codec._code_order(1, diagonal, syms, freqs) == expected
+        assert codec._code_order(1, diagonal, bytearray(syms), array("H", freqs)) == expected
+        assert codec._code_order(1, diagonal, list(syms), map(int, freqs)) == expected
+
+    def test_order_2_context_index_equal_to_a_successor_is_not_reordered(self):
+        # at order 2 over abc, context ab has index 1, the index of b, and
+        # its successors a, b, c occur 3, 1 and 1 times: moving b last
+        # would swap the codewords of b and c.  The encoder's repeat key
+        # j*m + j is then b's own pair key
+        word = b"abaabaabaabbabc"
+        assert _rows(_model(word, 2), 3)[1] == {0: 3, 1: 1, 2: 1}
+        assert codec._code_order(2, 1, (0, 1, 2), (3, 1, 1)) == ((0, 1, 2), (3, 1, 1))
+        assert codec._code_order(2, 1 * 3 + 1, (3, 4, 5), (3, 1, 1)) == ((3, 4, 5), (3, 1, 1))
+        payload, header = encode(word, 2)
+        assert reference_stream_decode(payload, header) == word
+        assert decompress(compress(word, 2)) == word
 
     def test_built_codes_price_the_encoded_stream(self):
         rng = random.Random(53)
@@ -1067,7 +1102,7 @@ class TestDecodeTables:
         lengths = {
             (j, i): length
             for j, row in model.items()
-            for i, _, length in codec._successor_codes(1, j, sorted(row.items()))
+            for i, _, length in codec._successor_codes(1, j, *zip(*sorted(row.items())))
         }
         ends = {}  # bit offset within a byte -> first long codeword ending there
         pos = 0
@@ -1291,15 +1326,10 @@ class TestContextBudget:
         word = bytes(range(256))
         blob = compress(word, 3)
         assert len(blob) > 2 << 20
-        tracemalloc.start()
-        try:
-            assert compress(word, 3) == blob
-            _, compress_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            assert decompress(blob) == word
-            _, decompress_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        compressed, compress_peak = _traced_peak(lambda: compress(word, 3))
+        assert compressed == blob
+        decoded, decompress_peak = _traced_peak(lambda: decompress(blob))
+        assert decoded == word
         assert decompress_peak < 0.25 * len(blob)
         assert compress_peak < 2.5 * len(blob)
 
@@ -1310,15 +1340,10 @@ class TestContextBudget:
         word = bytes(range(128)) * 2
         blob = compress(word, 3)
         assert len(blob) == 264_403
-        tracemalloc.start()
-        try:
-            assert compress(word, 3) == blob
-            _, compress_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            assert decompress(blob) == word
-            _, decompress_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        compressed, compress_peak = _traced_peak(lambda: compress(word, 3))
+        assert compressed == blob
+        decoded, decompress_peak = _traced_peak(lambda: decompress(blob))
+        assert decoded == word
         assert decompress_peak < 0.5 * len(blob)
         assert compress_peak < 2.5 * len(blob)
 
@@ -1328,12 +1353,7 @@ class TestContextBudget:
         # whole, once, with no chunk list beside it
         word = bytes(range(256)) * 2
         blob = compress(word, 3)
-        tracemalloc.start()
-        try:
-            payload, header = deserialize(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (payload, header), peak = _traced_peak(lambda: deserialize(blob))
         assert decode(payload, header) == word
         assert peak <= 1.25 * len(blob)
 
@@ -1342,24 +1362,15 @@ class TestContextBudget:
         # pair and per context, with no object per context beside the tables
         word = _markov_text(71, 32 * 1024)
         blob = compress(word, 2)
-        tracemalloc.start()
-        try:
-            assert decompress(blob) == word
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        decoded, peak = _traced_peak(lambda: decompress(blob))
+        assert decoded == word
         assert peak < 32 * len(blob)
 
     def test_order_2_markov_compress_peaks(self):
         # the frequency table is written from the model's own keys in symbol
         # order, with no (position, count) tuple per marked pair
         word = _markov_text(71, 32 * 1024)
-        tracemalloc.start()
-        try:
-            compress(word, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(lambda: compress(word, 2))
         assert peak < 85 * len(word)
 
     def test_every_context_distinct_compress_peaks(self):
@@ -1368,12 +1379,7 @@ class TestContextBudget:
         # count map that becomes the codeword map
         word = de_bruijn_word(2, 16)
         assert len(word) == 65_552
-        tracemalloc.start()
-        try:
-            blob = compress(word, 16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        blob, peak = _traced_peak(lambda: compress(word, 16))
         assert peak <= 12 << 20
         assert decompress(blob) == word
 
@@ -1383,12 +1389,8 @@ class TestContextBudget:
         # beside them
         word = random.Random(16384).randbytes(16384)
         blob = compress(word, 2)
-        tracemalloc.start()
-        try:
-            assert decompress(blob) == word
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        decoded, peak = _traced_peak(lambda: decompress(blob))
+        assert decoded == word
         assert peak < 4 * len(blob)
 
     def test_order_2_random_bytes_deserialize_peaks(self):
@@ -1396,16 +1398,8 @@ class TestContextBudget:
         # stream ends, and drops them before it copies the components out,
         # so it peaks no higher than decompress
         blob = compress(random.Random(16384).randbytes(16384), 2)
-        peaks = []
-        for call in (decompress, deserialize):
-            gc.collect()  # so no collection of earlier garbage lowers a peak
-            tracemalloc.start()
-            try:
-                call(blob)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        decompress_peak, deserialize_peak = peaks
+        _, decompress_peak = _traced_peak(lambda: decompress(blob))
+        _, deserialize_peak = _traced_peak(lambda: deserialize(blob))
         assert deserialize_peak <= 1.05 * decompress_peak
 
     def test_every_context_distinct_decompress_peaks(self):
@@ -1414,12 +1408,8 @@ class TestContextBudget:
         # beside its run-length Counter and then the decoder tables
         word = de_bruijn_word(2, 16)
         blob = compress(word, 16)
-        tracemalloc.start()
-        try:
-            assert decompress(blob) == word
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        decoded, peak = _traced_peak(lambda: decompress(blob))
+        assert decoded == word
         assert peak <= 8 << 20
 
     @pytest.mark.parametrize(
@@ -1436,24 +1426,22 @@ class TestContextBudget:
         # what the missing bits would need
         blob = make()
         assert len(blob) == size
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(TruncationError):
                 decompress(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = _traced_peak(refused)
         assert peak < bound
 
     def test_over_budget_refused_before_allocating(self):
         word = bytes(range(17)) * 2  # 17**6 contexts: a 2.9 MiB map
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match=str(codec.MAX_CONTEXT_BITS)):
                 encode(word, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = _traced_peak(refused)
         assert peak < 1 << 20
         with pytest.raises(ValueError, match=str(codec.MAX_CONTEXT_BITS)):
             build_graph(word, 6)

@@ -31,12 +31,14 @@ class TestHuffman:
         assert sum(l for _, l in code_pairs((1, 1, 1))) == 5
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frequency tuple must not be empty"):
             code_pairs(())
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            code_pairs((1, 0, 2))
+        # checked before the one- and two-symbol shortcuts
+        for freqs in [(1, 0, 2), (0,), (3, 0), (-1, 4, 4, 4)]:
+            with pytest.raises(ValueError, match="frequencies must be >= 1"):
+                code_pairs(freqs)
 
     def test_prefix_property_random(self):
         rng = random.Random(11)
