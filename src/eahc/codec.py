@@ -6,9 +6,13 @@ window of n symbols that occurs, i the index of a symbol that follows it,
 and the count how often it does.  The key is that window of n + 1 read as
 a base-m number.  This module owns the context index, a window's symbol
 indices read as a base-m number (`_context_index`), and its inverse
-(`_window`); `_by_context` puts the map in context-major order, its keys
-sorted and each context's run of successors in them.  The model is the
-edge list of the paper's transition graph; `graph.build_graph` and
+(`_window`).  In context-major order the model has one shape, flat
+arrays with no dict keyed by context: the context indices that occur,
+ascending, and each one's run end.  `_by_context` derives them from the
+map's sorted keys, whose runs hold each context's successors, and
+`_read_v1` returns them with each run's successor symbols and counts.
+The model is the edge list of the paper's transition graph, its edges
+grouped by context vertex; `graph.build_graph` and
 `graph.assign_codewords` are views of it and of `_successor_codes`, the
 Huffman code of one context, and ask this module for both numberings.
 
@@ -34,13 +38,14 @@ the input's symbol indices into runs of digits once, and `_pair_keys`
 chains C-level `map`s over those runs into the pair key of every
 position, twice: `_successor_counts` counts the keys with a `Counter`,
 and the stream maps them through that same object.  In between,
-`_write_v1` writes the model from its context-major order, and `encode`
-turns the `Counter` into the codeword map in place, each count replaced
-by its pair's codeword as '0'/'1' text: "0" for a lone successor, and
-for a run of two or more one `dict.update` from `code_pairs` over the
-run's keys and counts in `_code_order`, with no Python per successor.
-It joins the codewords in bounded chunks of _CHUNK and turns each chunk
-into bits at once.
+`_write_v1` writes the model from its context-major order, its
+frequency fields joined _CHUNK at a time by `_join_fields` in C-level
+`map`s, and `encode` walks the same runs to turn the `Counter` into the
+codeword map in place, each count replaced by its pair's codeword as
+'0'/'1' text: "0" for a lone successor, and for a run of two or more
+one `dict.update` from `code_pairs` over the run's keys and counts in
+`_code_order`, with no Python per successor.  It joins the codewords in
+bounded chunks of _CHUNK and turns each chunk into bits at once.
 
 Format v1 codes the model as bitmaps and fixed-width counts, five bit
 components in all:
@@ -67,9 +72,11 @@ lies.  `decompress` hands the prefix indices and the tables to
 each component and builds the tables once, and copies none of them.
 `deserialize` drops the tables, then copies each component out into a
 plain payload, so a `decode` of that payload reads the model again.
-`_read_v1` counting-sorts the marked pairs by context into flat arrays,
-with no object per context.  Reading the model and building the tables
-is most of the decompress CPU on model-heavy input.
+`_read_v1` splits the frequency fields _CHUNK at a time with
+`_split_fields`, the inverse of `_join_fields`, and counting-sorts the
+marked pairs by context into flat arrays, with no object per context.
+Reading the model and building the tables is most of the decompress CPU
+on model-heavy input.
 
 Container wire format (little-endian; `struct` layouts `_LEAD`, `_TAIL`):
 
@@ -99,19 +106,21 @@ budget.  Reading a container takes none: `_unpack` refuses a header that
 claims more codewords than the container has bits, checks that the
 container holds a component's bits before `_read_v1` reads them, and
 `_build_codes` stops once its codewords need more stream bits than remain.
-A valid container pays one dict entry per marked context twice: in the
-reader's run lengths, and in the decoder tables.
+Writing a model builds no dict keyed by context.  Reading a valid
+container pays one dict entry per marked context twice: in the reader's
+run lengths, and in the decoder tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, pairwise, repeat
-from operator import add, floordiv, mod, mul
+from operator import add, and_, floordiv, lshift, mod, mul, ne, or_, rshift, sub
 from typing import Callable, Iterable, Iterator
 
 from .adaptive_code import Alphabet
@@ -131,7 +140,7 @@ _TAIL = struct.Struct("<QB")  # h, freq_table field width
 TABLE_BITS = 12  # longest codeword a decoder lookup table is built for
 _REFILL = 48  # stream bits `_decode_stream` loads at once: a whole number of bytes
 MAX_CONTEXT_BITS = 1 << 24  # largest m**n a model may span: 256**3, a 2 MiB map
-_CHUNK = 8192  # codewords `encode` joins into one '0'/'1' string
+_CHUNK = 8192  # codewords `encode` joins into one string, or frequency fields into one int
 
 
 @dataclass(frozen=True)
@@ -282,12 +291,17 @@ def _successor_counts(t: bytes, m: int, n: int, runs: _Runs | None = None) -> Co
     return Counter(_pair_keys(t, m, n, runs))
 
 
-def _by_context(counts: dict[int, int], m: int) -> tuple[list[int], Counter[int]]:
+def _by_context(counts: dict[int, int], m: int) -> tuple[list[int], array, array]:
     """The model's keys in context-major order, the model's own key objects,
-    and each context's run of successors in them: context index -> run
-    length, context index ascending."""
+    then the context indices that occur, ascending, and each one's run end
+    in the keys, as `_read_v1` returns them.  No dict keyed by context is
+    built: a run ends at the last key and where the next key's context
+    differs, and a 0/1 flag per key picks out the ends and their contexts."""
     keys = sorted(counts)
-    return keys, Counter(map(floordiv, keys, repeat(m)))
+    js = array("I", map(floordiv, keys, repeat(m)))
+    last = bytes(map(ne, js, islice(js, 1, None))) + b"\x01"[: len(js)]
+    ends = array("I", itertools.compress(range(1, len(js) + 1), last))
+    return keys, array("I", itertools.compress(js, last)), ends
 
 
 def _ranked_table(freqs: tuple[int, ...]) -> tuple[int, bytes | tuple, bytes, int]:
@@ -392,31 +406,67 @@ def _bitmap(positions: Iterable[int], nbits: int) -> BitString:
     return BitString(bytes(buf), nbits)
 
 
+def _join_fields(values: Iterable[int], width: int) -> BitString:
+    """`width`-bit fields, most significant first, as one `write_uint` per
+    field writes them.  Each chunk of _CHUNK fields is joined pairwise,
+    level by level, in C-level `map`s; a zero field put before a level of
+    odd length leaves its value as it is."""
+    out = BitWriter()
+    values = iter(values)
+    while chunk := list(islice(values, _CHUNK)):
+        nbits, w = len(chunk) * width, width
+        while len(chunk) > 1:
+            if len(chunk) & 1:
+                chunk.insert(0, 0)
+            chunk = list(map(or_, map(lshift, chunk[::2], repeat(w)), chunk[1::2]))
+            w *= 2
+        out.write_uint(chunk[0], nbits)
+    return out.getvalue()
+
+
+def _split_fields(value: int, count: int, width: int) -> list[int]:
+    """The `count` fields of `width` bits in `value`, most significant
+    first; inverts `_join_fields`.  The value is halved level by level in
+    C-level `map`s, as if zero fields before it made `count` a power of 2."""
+    levels = (count - 1).bit_length()
+    fields = [value]
+    for level in reversed(range(levels)):
+        w = width << level
+        halves = [0] * (2 * len(fields))
+        halves[::2] = map(rshift, fields, repeat(w))
+        halves[1::2] = map(and_, fields, repeat((1 << w) - 1))
+        fields = halves
+    return fields[(1 << levels) - count :]
+
+
 def _write_v1(
-    header: Header, head: bytes, counts: dict[int, int], keys: list[int], sizes: dict[int, int]
+    header: Header,
+    head: bytes,
+    counts: dict[int, int],
+    keys: list[int],
+    set_js: array,
+    ends: array,
 ) -> tuple[BitString, BitString, BitString, BitString, int]:
     """The v1 writer: the prefix of `head`'s symbol indices, context_map,
     successor_map, freq_table and the frequency field width, laid out as
     `_read_v1` reads them, from the flat model `counts` and its
-    context-major order `keys, sizes = _by_context(counts, m)`."""
+    context-major order `keys, set_js, ends = _by_context(counts, m)`."""
     m = len(header.alphabet)
     w = (m - 1).bit_length()
-    s = len(sizes)
+    s = len(set_js)
     # successor_map positions i * s + r, in context order: `_bitmap` needs
     # no sorted input
-    ranks = chain.from_iterable(map(repeat, range(s), sizes.values()))
+    ranks = chain.from_iterable(map(repeat, range(s), map(sub, ends, chain((0,), ends))))
     marked = map(add, map(mul, map(mod, keys, repeat(m)), repeat(s)), ranks)
     # w-bit fields, most significant first: the indices as a base-2**w number
     prefix = BitString.from_int(_context_index(head, 1 << w), len(head) * w)
-    context_map = _bitmap(sizes, m**header.order)
+    context_map = _bitmap(set_js, m**header.order)
     successor_map = _bitmap(marked, m * s)
     freq_width = max(counts.values(), default=0).bit_length()
-    freq_table = BitWriter()
     # the fields in map order, symbol-major: a stable sort of the
     # context-major keys by symbol
-    for f in map(counts.__getitem__, sorted(keys, key=m.__rmod__)):
-        freq_table.write_uint(f, freq_width)
-    return prefix, context_map, successor_map, freq_table.getvalue(), freq_width
+    fields = map(counts.__getitem__, sorted(keys, key=m.__rmod__))
+    return prefix, context_map, successor_map, _join_fields(fields, freq_width), freq_width
 
 
 def _uint(data: bytes, start: int, nbits: int) -> int:
@@ -452,11 +502,12 @@ def _read_v1(
     set_js = _scan_set_bits(*read(m**n, "context_map"))
     s = len(set_js)
     marked = _scan_set_bits(*read(m * s, "successor_map"))
-    nbits = freq_width * len(marked)
-    value = _uint(*read(nbits, "freq_table"))
-    fields = format(value, f"0{nbits}b") if nbits else ""
-    step = freq_width or 1  # at width 0 there are no fields: `fields` is empty
-    freqs = [int(fields[k : k + step], 2) for k in range(0, len(fields), step)]
+    data, first, nbits = read(freq_width * len(marked), "freq_table")
+    step = _CHUNK * freq_width or 1  # at width 0 there are no fields: nbits is 0
+    freqs: list[int] = []
+    for k in range(0, nbits, step):
+        size = min(step, nbits - k)
+        freqs += _split_fields(_uint(data, first + k, size), size // freq_width, freq_width)
     if 0 in freqs:
         raise CorruptHeaderError("marked successor with zero frequency")
     widest = max(freqs, default=0).bit_length()
@@ -477,7 +528,8 @@ def _read_v1(
     # a counting sort by context rank: ends[r] is the next free slot of run
     # r, and its end once the pass is over; ascending positions are
     # symbol-major, so each run fills in symbol order
-    ends = array(marked.typecode, accumulate(map(runs.__getitem__, range(s - 1)), initial=0))
+    starts = accumulate(map(runs.__getitem__, range(s)), initial=0)
+    ends = array(marked.typecode, islice(starts, s))
     # each count in the least unsigned item of freq_width bits, at most 64 by the sum check
     syms = bytearray(len(marked))
     counts = array("BHIIQQQQ"[(freq_width - 1) >> 3], [0]) * len(marked)
@@ -527,9 +579,9 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     t = word.translate(_index_table(alphabet))
     runs = _key_runs(t, m, n)  # packed once, chained for the counts and the stream
     counts = _successor_counts(t, m, n, runs)
-    keys, sizes = _by_context(counts, m)
+    keys, set_js, ends = _by_context(counts, m)
     prefix, context_map, successor_map, freq_table, freq_width = _write_v1(
-        header, t[:n], counts, keys, sizes
+        header, t[:n], counts, keys, set_js, ends
     )
 
     # the model becomes the codeword map in place, key -> codeword as
@@ -537,15 +589,15 @@ def encode(word: bytes, order: int) -> tuple[EahPayload, Header]:
     codewords: dict = counts
     texts = _Texts()
     start = 0
-    for j, k in sizes.items():
-        if k == 1:
+    for j, end in zip(set_js, ends):
+        if end - start == 1:
             codewords[keys[start]] = "0"
         else:  # the repeat pair key at order 1 is j*m + j
-            run = keys[start : start + k]
+            run = keys[start:end]
             run, freqs = _code_order(n, j * m + j, run, map(counts.__getitem__, run))
             # `dict.update`: a Counter's own `update` adds
             dict.update(codewords, zip(run, map(texts.__getitem__, code_pairs(freqs))))
-        start += k
+        start = end
 
     words = map(codewords.__getitem__, _pair_keys(t, m, n, runs))
     stream = BitWriter()

@@ -5,10 +5,11 @@ vertices are the length-n windows of the string together with the
 symbols that follow them; a directed edge (context, symbol) carries the
 number of positions where that transition occurs, the count of its pair
 key j*m + i in the codec's flat model (`codec._successor_counts`), read
-one context at a time in `codec._by_context` order, and its codeword
+one context's run of sorted keys at a time, as `codec._by_context`'s
+flat arrays of context indices and run ends mark them, and its codeword
 comes from `codec._successor_codes`, `code_pairs` over the counts that
-`codec._code_order` puts in code order, as encoder and decoder do;
-the codec's `_context_index` and `_window` give a window's index and an
+`codec._code_order` puts in code order, as encoder and decoder do; the
+codec's `_context_index` and `_window` give a window's index and an
 index's window.  For order 1, an immediate repeat of a symbol is routed
 through a companion aux vertex instead of a self-loop; the aux return
 edge and, for n >= 2, the symbol-to-window linking edges are structural
@@ -90,13 +91,13 @@ def build_graph(word: bytes, order: int) -> AdaptiveGraph:
     t = word.translate(codec._index_table(g.alphabet))
     first = codec._context_index(t[:n], m)
     counts = codec._successor_counts(t, m, n)
-    keys, sizes = codec._by_context(counts, m)
+    keys, set_js, ends = codec._by_context(counts, m)
     start = 0
-    for j, k in sizes.items():  # each context's run of pair keys j*m + i
+    for j, end in zip(set_js, ends):  # each context's run of pair keys j*m + i
         window = bytes(symbols[i] for i in codec._window(j, m, n))
         context = Vertex(window)
-        row = keys[start : start + k]
-        start += k
+        row = keys[start:end]
+        start = end
         for key in row:
             i, f = key - j * m, counts[key]
             if n == 1 and i == j:

@@ -9,6 +9,7 @@ import struct
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -103,8 +104,7 @@ def _read_rows(model: tuple) -> dict[int, dict[int, int]]:
 
 def _write_model(header: Header, head: bytes, counts: dict[int, int]) -> tuple:
     """`_write_v1` of a flat model, in the context-major order it takes."""
-    keys, sizes = codec._by_context(counts, len(header.alphabet))
-    return codec._write_v1(header, head, counts, keys, sizes)
+    return codec._write_v1(header, head, counts, *codec._by_context(counts, len(header.alphabet)))
 
 
 def _model_without_stream() -> bytes:
@@ -388,12 +388,14 @@ class TestDecode:
     def test_marked_context_without_successor_rejected(self):
         payload, header = encode(SAMPLE_200, 2)
         counts = _model(SAMPLE_200, 2)
-        keys, sizes = codec._by_context(counts, len(header.alphabet))
+        keys, set_js, ends = codec._by_context(counts, len(header.alphabet))
         # one more context in the map, with a run of no successors
-        empty = next(j for j in range(len(payload.context_map)) if j not in sizes)
-        sizes = dict(sorted({**sizes, empty: 0}.items()))
+        empty = next(j for j in range(len(payload.context_map)) if j not in set_js)
+        r = bisect.bisect(set_js, empty)
+        set_js.insert(r, empty)
+        ends.insert(r, ends[r - 1] if r else 0)
         _, context_map, successor_map, _, _ = codec._write_v1(
-            header, b"", counts, keys, sizes
+            header, b"", counts, keys, set_js, ends
         )
         replaced = dataclasses.replace(
             payload, context_map=context_map, successor_map=successor_map
@@ -755,6 +757,77 @@ class TestCompressPath:
         blob, peak = _traced_peak(lambda: compress(word, 255))
         assert peak < 2 << 20
         assert decompress(blob) == word
+
+
+FIELD_WIDTHS = [1, 2, 8, 9, 63, 64, 65]
+FIELD_COUNTS = [1, 2, 3, codec._CHUNK - 1, codec._CHUNK, codec._CHUNK + 1]
+# (input, order) cases from the oracles, each order 1-3, some with h <= n
+MODEL_CASES = [
+    (word, n)
+    for word in (W9, SAMPLE_200, long_code_word(8), de_bruijn_word(3, 4), b"a", b"ab", b"abc")
+    for n in (1, 2, 3)
+]
+
+
+def _model_case(word: bytes, n: int) -> tuple[Header, bytes, Counter]:
+    """The header, the prefix's symbol indices and the flat model that
+    `encode` makes of `word` at order n."""
+    alphabet = Alphabet.from_bytes(word)
+    head = word[:n].translate(codec._index_table(alphabet))
+    return Header(n, alphabet, len(word)), head, _model(word, n)
+
+
+class TestModelShape:
+    """The encoder's context-major model, its frequency fields, and the
+    reader's flat arrays, which are the same model."""
+
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    @pytest.mark.parametrize("count", FIELD_COUNTS)
+    def test_join_and_split_fields_invert_each_other(self, width, count):
+        rng = random.Random(width * 100_003 + count)
+        values = [rng.getrandbits(width) for _ in range(count)]
+        values[0] = (1 << width) - 1  # every bit of a field set
+        kept = list(values)
+        reference = BitWriter()
+        for f in values:
+            reference.write_uint(f, width)
+        joined = codec._join_fields(values, width)
+        assert values == kept
+        assert joined == reference.getvalue()
+        assert codec._split_fields(joined.uint(), count, width) == values
+
+    def test_no_fields_join_to_no_bits(self):
+        assert codec._join_fields([], 5) == EMPTY
+        assert codec._join_fields([], 0) == EMPTY
+
+    @pytest.mark.parametrize("word, n", MODEL_CASES)
+    def test_by_context_matches_groupby(self, word, n):
+        _, _, counts = _model_case(word, n)
+        m = len(set(word))
+        keys, set_js, ends = codec._by_context(counts, m)
+        assert keys == sorted(counts)
+        runs = [(j, len(list(run))) for j, run in groupby(keys, key=lambda k: k // m)]
+        assert list(set_js) == [j for j, _ in runs]
+        assert list(ends) == list(accumulate(k for _, k in runs))
+        assert bool(keys) == (len(word) > n)
+
+    @pytest.mark.parametrize("word, n", MODEL_CASES)
+    def test_reader_returns_the_written_model(self, word, n):
+        # `_read_v1` of `_write_v1`'s components is the model the encoder
+        # wrote them from: its contexts and run ends, then each key's
+        # symbol and count in the same context-major order
+        header, head, counts = _model_case(word, n)
+        m = len(header.alphabet)
+        keys, set_js, ends = codec._by_context(counts, m)
+        *fields, width = codec._write_v1(header, head, counts, keys, set_js, ends)
+        payload = EahPayload(*fields, EMPTY, width)
+        read_head, model = codec._read_v1(header, width, codec._field_reader(payload))
+        read_js, read_ends, syms, read_counts = model
+        assert read_head == head
+        assert list(read_js) == list(set_js)
+        assert list(read_ends) == list(ends)
+        assert list(syms) == [key % m for key in keys]
+        assert list(read_counts) == [counts[key] for key in keys]
 
 
 class TestContextIndex:
@@ -1376,11 +1449,20 @@ class TestContextBudget:
     def test_every_context_distinct_compress_peaks(self):
         # B(2, 16) at order 16: 65,536 contexts, each with one successor, so
         # the model has a pair per position; it is held once, as the flat
-        # count map that becomes the codeword map
+        # count map that becomes the codeword map, beside its sorted keys
+        # and a context index and a run end per context in flat arrays
         word = de_bruijn_word(2, 16)
         assert len(word) == 65_552
         blob, peak = _traced_peak(lambda: compress(word, 16))
-        assert peak <= 12 << 20
+        assert peak <= 8 << 20
+        assert decompress(blob) == word
+
+    def test_order_2_random_bytes_compress_peaks(self):
+        # 14,435 contexts, most with one successor: no dict keyed by context
+        # is built beside the count map and its sorted keys
+        word = random.Random(16384).randbytes(16384)
+        blob, peak = _traced_peak(lambda: compress(word, 2))
+        assert peak < 160 * len(word)
         assert decompress(blob) == word
 
     def test_order_2_random_bytes_decompress_peaks(self):
